@@ -15,9 +15,17 @@ Conventions used throughout:
 * homomorphism matrices have one row per codomain generator and one
   column per domain generator;
 * a subgroup of ``Z^n / L`` (``L`` the relation lattice) is handled as
-  the lattice spanned by its generators together with ``L``, so
-  membership, canonical form and quotients all come down to one Smith
-  normal form.
+  the lattice spanned by its generators together with ``L``.
+
+All lattice solving goes through one primitive: :func:`_lattice` takes
+the Smith normal form of a list of columns, and the resulting
+:class:`_Snf` answers the three questions asked of a lattice, namely
+whether a vector lies in it (:meth:`_Snf.coefficients`), which integer
+combination of the columns gives it (:meth:`_Snf.solve`), and which
+combinations give zero (:meth:`_Snf.kernel_basis`).  Kernels,
+preimages, inverses, membership, subgroup coordinates and intersections
+are each one of these calls, and every canonical form (quotients,
+direct sums, subgroups) comes from :func:`_canonicalize_presentation`.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -68,16 +76,43 @@ def _mat_vec(a, v) -> list[int]:
 
 @dataclass(frozen=True)
 class _Snf:
-    """Full transform data for ``diag = u * a * v``."""
+    """Transform data for ``diag = u * a * v``; ``uinv`` inverts ``u``."""
 
     u: Matrix
     uinv: Matrix
     v: Matrix
-    vinv: Matrix
     diag: tuple[int, ...]
-    rank: int
     nrows: int
     ncols: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.diag)
+
+    def coefficients(self, b) -> list[int] | None:
+        """``w`` with ``(u * b)[i] = diag[i] * w[i]`` for ``i < rank``, or
+        ``None`` when ``b`` is not in the column lattice of ``a``."""
+        y = _mat_vec(self.u, b)
+        if any(y[self.rank:]):
+            return None
+        w = []
+        for yi, d in zip(y, self.diag):
+            q, r = divmod(yi, d)
+            if r:
+                return None
+            w.append(q)
+        return w
+
+    def solve(self, b) -> list[int] | None:
+        """Some integer ``x`` with ``a * x = b``, or ``None``."""
+        w = self.coefficients(b)
+        if w is None:
+            return None
+        return _mat_vec(self.v, w + [0] * (self.ncols - self.rank))
+
+    def kernel_basis(self) -> list[list[int]]:
+        """Basis of the integer kernel of ``a``: the last columns of ``v``."""
+        return [[row[j] for row in self.v] for j in range(self.rank, self.ncols)]
 
     def d_matrix(self) -> Matrix:
         rows = []
@@ -96,7 +131,6 @@ def _snf(rows: list[list[int]], ncols: int) -> _Snf:
     u = _identity(m)
     uinv = _identity(m)
     v = _identity(n)
-    vinv = _identity(n)
 
     def row_add(i, j, c):
         # row_i += c * row_j
@@ -123,14 +157,12 @@ def _snf(rows: list[list[int]], ncols: int) -> _Snf:
             r[j] += c * r[i]
         for r in v:
             r[j] += c * r[i]
-        vinv[i] = [x - c * y for x, y in zip(vinv[i], vinv[j])]
 
     def col_swap(i, j):
         for r in d:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     t = 0
     while t < m and t < n:
@@ -184,9 +216,7 @@ def _snf(rows: list[list[int]], ncols: int) -> _Snf:
         u=_freeze(u),
         uinv=_freeze(uinv),
         v=_freeze(v),
-        vinv=_freeze(vinv),
         diag=tuple(diag),
-        rank=len(diag),
         nrows=m,
         ncols=n,
     )
@@ -205,6 +235,11 @@ def smith_normal_form(a) -> tuple[Matrix, Matrix, Matrix]:
         raise UsageError("ragged matrix")
     res = _snf(rows, ncols)
     return res.u, res.d_matrix(), res.v
+
+
+def _lattice(cols, nrows: int) -> _Snf:
+    """Smith normal form of the ``nrows``-row matrix with columns ``cols``."""
+    return _snf([[c[i] for c in cols] for i in range(nrows)], len(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +288,6 @@ class FgAbGroup:
 
     def order(self) -> int | float:
         return inf if self.free_rank else prod(self.torsion)
-
-    def is_isomorphic_to(self, other: "FgAbGroup") -> bool:
-        return (self.free_rank, self.torsion) == (other.free_rank, other.torsion)
 
     def relation_columns(self) -> list[list[int]]:
         """Columns spanning the relation lattice of ``Z^ngens``."""
@@ -324,11 +356,6 @@ class FgAbGroup:
         zeros = (0,) * self.free_rank
         for combo in itertools.product(*(range(t) for t in self.torsion)):
             yield self.element(zeros + combo)
-
-    def enumerate_elements(self, cap: int = ENUMERATION_CAP):
-        if self.free_rank:
-            raise UsageError("cannot enumerate an infinite group")
-        return self.enumerate_torsion_part(cap)
 
     # -- whole-group constructions ------------------------------------------
 
@@ -400,9 +427,8 @@ def _canonicalize_presentation(ngens: int, relation_cols):
     convert coordinates between the presentation and the canonical
     generators (free generators first, torsion ascending).
     """
-    rows = [[col[i] for col in relation_cols] for i in range(ngens)]
-    res = _snf(rows, len(relation_cols))
-    kept = [i for i in range(res.rank, ngens)]  # free coordinates
+    res = _lattice(relation_cols, ngens)
+    kept = list(range(res.rank, ngens))  # free coordinates
     torsion = []
     for i in range(res.rank):
         if res.diag[i] >= 2:
@@ -550,18 +576,15 @@ class GroupHom:
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.matrix)
 
+    def _solver(self) -> _Snf:
+        """Lattice of the image columns followed by the codomain relations."""
+        cols = [[row[j] for row in self.matrix] for j in range(self.domain.ngens)]
+        return _lattice(cols + self.codomain.relation_columns(), self.codomain.ngens)
+
     def kernel(self) -> "Subgroup":
         """Full preimage of zero, as a subgroup of the domain."""
         n = self.domain.ngens
-        cols = [[row[j] for row in self.matrix] for j in range(n)]
-        rel = self.codomain.relation_columns()
-        stacked = cols + rel
-        rows = [[c[i] for c in stacked] for i in range(self.codomain.ngens)]
-        res = _snf(rows, len(stacked))
-        gens = []
-        for j in range(res.rank, len(stacked)):
-            vec = [res.v[i][j] for i in range(n)]
-            gens.append(self.domain.element(vec))
+        gens = [self.domain.element(x[:n]) for x in self._solver().kernel_basis()]
         return Subgroup(self.domain, tuple(gens))
 
     def image(self) -> "Subgroup":
@@ -579,28 +602,18 @@ class GroupHom:
         """Some preimage of ``elem``; raises ``UsageError`` if none exists."""
         if elem.group != self.codomain:
             raise UsageError("element is not in the codomain")
-        n = self.domain.ngens
-        cols = [[row[j] for row in self.matrix] for j in range(n)]
-        stacked = cols + self.codomain.relation_columns()
-        rows = [[c[i] for c in stacked] for i in range(self.codomain.ngens)]
-        res = _snf(rows, len(stacked))
-        b = _mat_vec(res.u, list(elem.coords))
-        w = [0] * len(stacked)
-        for i, bi in enumerate(b):
-            if i < res.rank:
-                if bi % res.diag[i]:
-                    raise UsageError("element has no preimage")
-                w[i] = bi // res.diag[i]
-            elif bi:
-                raise UsageError("element has no preimage")
-        z = _mat_vec(res.v, w)
-        return self.domain.element(z[:n])
+        x = self._solver().solve(elem.coords)
+        if x is None:
+            raise UsageError("element has no preimage")
+        return self.domain.element(x[: self.domain.ngens])
 
     def inverse(self) -> "GroupHom":
         """Inverse of an isomorphism; raises ``UsageError`` otherwise."""
+        solver = self._solver()
+        cols = [solver.solve(e) for e in _identity(self.codomain.ngens)]
         try:
-            cols = [list(self.preimage_of(g).coords)
-                    for g in self.codomain.generators()]
+            if any(c is None for c in cols):
+                raise UsageError("a generator has no preimage")
             inv = GroupHom(
                 self.codomain,
                 self.domain,
@@ -656,42 +669,19 @@ class Subgroup:
             gens.append(g)
         self._ambient = ambient
         self._generators = tuple(gens)
-        n = ambient.ngens
-        cols = [list(g.coords) for g in gens] + ambient.relation_columns()
-        rows = [[c[i] for c in cols] for i in range(n)]
-        self._span = _snf(rows, len(cols))
-        self._canonical, self._canonical_gens = self._canonicalize(cols)
-
-    def _canonicalize(self, cols):
+        rel = ambient.relation_columns()
+        self._span = _lattice([list(g.coords) for g in gens] + rel, ambient.ngens)
         span = self._span
-        n = self._ambient.ngens
-        r = span.rank
-        # lattice basis: columns of uinv scaled by the invariant factors
-        basis = [
-            [span.diag[i] * span.uinv[row][i] for i in range(r)]
-            for row in range(n)
-        ]
-        # ambient relations expressed in that basis
-        rel = self._ambient.relation_columns()
-        m_cols = []
-        for c in rel:
-            y = _mat_vec(span.u, c)
-            m_cols.append([y[i] // span.diag[i] for i in range(r)])
-        m_rows = [[c[i] for c in m_cols] for i in range(r)]
-        inner = _snf(m_rows, len(m_cols))
-        order = list(range(inner.rank, r))
-        torsion = []
-        for i in range(inner.rank):
-            if inner.diag[i] >= 2:
-                order.append(i)
-                torsion.append(inner.diag[i])
-        group = FgAbGroup(r - inner.rank, tuple(torsion))
-        gens = []
-        for i in order:
-            f = [inner.uinv[row][i] for row in range(r)]
-            vec = _mat_vec(basis, f)
-            gens.append(self._ambient.element(vec))
-        return group, tuple(gens)
+        # the subgroup is the span modulo the ambient relations, written in
+        # the span's basis: the columns of uinv scaled by the invariant factors
+        self._canonical, self._to_canonical, from_canon = _canonicalize_presentation(
+            span.rank, [span.coefficients(c) for c in rel]
+        )
+        basis = [[d * row[i] for i, d in enumerate(span.diag)] for row in span.uinv]
+        self._canonical_gens = tuple(
+            ambient.element(_mat_vec(basis, [row[i] for row in from_canon]))
+            for i in range(self._canonical.ngens)
+        )
 
     # -- accessors -----------------------------------------------------------
 
@@ -724,14 +714,7 @@ class Subgroup:
     def contains(self, elem: GroupElement) -> bool:
         if elem.group != self._ambient:
             raise UsageError("element lives in a different ambient group")
-        y = _mat_vec(self._span.u, list(elem.coords))
-        for i, yi in enumerate(y):
-            if i < self._span.rank:
-                if yi % self._span.diag[i]:
-                    return False
-            elif yi:
-                return False
-        return True
+        return self._span.coefficients(elem.coords) is not None
 
     def __contains__(self, elem) -> bool:
         return self.contains(elem)
@@ -741,18 +724,8 @@ class Subgroup:
         ``None`` when the element is not a member."""
         if not self.contains(elem):
             return None
-        cols = [list(g.coords) for g in self._canonical_gens]
-        cols += self._ambient.relation_columns()
-        rows = [[c[i] for c in cols] for i in range(self._ambient.ngens)]
-        res = _snf(rows, len(cols))
-        b = _mat_vec(res.u, list(elem.coords))
-        w = [0] * len(cols)
-        for i, bi in enumerate(b):
-            if i < res.rank:
-                w[i] = bi // res.diag[i]
-            # beyond the rank everything is zero because elem is a member
-        z = _mat_vec(res.v, w)
-        return self._canonical.reduce(z[: self._canonical.ngens])
+        w = self._span.coefficients(elem.coords)
+        return self._canonical.reduce(_mat_vec(self._to_canonical, w))
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
         if other.ambient != self._ambient:
@@ -787,23 +760,12 @@ class Subgroup:
         rel = self._ambient.relation_columns()
         a1 = [list(g.coords) for g in self._generators] + rel
         a2 = [list(g.coords) for g in other._generators] + rel
-        stacked = a1 + [[-x for x in c] for c in a2]
-        rows = [[c[i] for c in stacked] for i in range(n)]
-        res = _snf(rows, len(stacked))
-        gens = []
-        for j in range(res.rank, len(stacked)):
-            x1 = [res.v[i][j] for i in range(len(a1))]
-            vec = [
-                sum(a1[k][row] * x1[k] for k in range(len(a1)))
-                for row in range(n)
-            ]
-            gens.append(self._ambient.element(vec))
+        # kernel vectors (x1, x2) of [a1 | -a2] meet in a1 * x1 = a2 * x2
+        res = _lattice(a1 + [[-x for x in c] for c in a2], n)
+        rows = [[c[i] for c in a1] for i in range(n)]
+        gens = [self._ambient.element(_mat_vec(rows, x[: len(a1)]))
+                for x in res.kernel_basis()]
         return Subgroup(self._ambient, tuple(gens))
-
-    def image_under(self, hom: GroupHom) -> "Subgroup":
-        if hom.domain != self._ambient:
-            raise UsageError("homomorphism domain differs from ambient group")
-        return Subgroup(hom.codomain, tuple(hom(g) for g in self._generators))
 
     def enumerate_elements(self, cap: int = ENUMERATION_CAP):
         """Yield every element of a finite subgroup (oracle helper)."""

@@ -242,8 +242,8 @@ def _cmd_grassmann(db, args, trace):
         "all_loose": "unknown" if result is None else result,
     }
     if result is None:
-        raise _Unknown(payload, "odd-rank Grassmannians are outside the "
-                                "implemented results")
+        raise _Outcome("unknown", payload,
+                       "odd-rank Grassmannians are outside the implemented results")
     if args.m is not None:
         payload["m"] = args.m
         payload["group"] = group_payload(
@@ -252,11 +252,12 @@ def _cmd_grassmann(db, args, trace):
     return payload
 
 
-class _Unknown(Exception):
-    """Internal: a command that produced a payload but no definite answer."""
+class _Outcome(Exception):
+    """Internal: a command that produced a payload but not an ok answer."""
 
-    def __init__(self, payload, reason):
+    def __init__(self, status, payload, reason):
         super().__init__(reason)
+        self.status = status
         self.payload = payload
         self.reason = reason
 
@@ -332,15 +333,8 @@ def _cmd_validate_db(db, args, trace):
         "passed": not failed,
     }
     if failed:
-        raise _Failure(payload, f"{len(failed)} validation check(s) failed")
+        raise _Outcome("error", payload, f"{len(failed)} validation check(s) failed")
     return payload
-
-
-class _Failure(Exception):
-    def __init__(self, payload, reason):
-        super().__init__(reason)
-        self.payload = payload
-        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +456,7 @@ def main(argv=None) -> int:
         db = load_database(_resolve_db_path(args.db))
         trace = Trace()
         payload = _HANDLERS[args.command](db, args, trace)
-    except UsageError as exc:
-        _emit({"status": "error", "message": str(exc), "payload": {},
-               "rule_trace": []}, fmt)
-        return EXIT_ERROR
-    except DataError as exc:
+    except (UsageError, DataError) as exc:
         _emit({"status": "error", "message": str(exc), "payload": {},
                "rule_trace": []}, fmt)
         return EXIT_ERROR
@@ -474,14 +464,10 @@ def main(argv=None) -> int:
         _emit({"status": "unknown", "message": str(exc), "payload": {},
                "rule_trace": []}, fmt)
         return EXIT_UNKNOWN
-    except _Unknown as exc:
-        _emit({"status": "unknown", "message": exc.reason,
+    except _Outcome as exc:
+        _emit({"status": exc.status, "message": exc.reason,
                "payload": exc.payload, "rule_trace": trace.entries}, fmt)
-        return EXIT_UNKNOWN
-    except _Failure as exc:
-        _emit({"status": "error", "message": exc.reason,
-               "payload": exc.payload, "rule_trace": trace.entries}, fmt)
-        return EXIT_ERROR
+        return EXIT_UNKNOWN if exc.status == "unknown" else EXIT_ERROR
     _emit({"status": "ok", "payload": payload, "rule_trace": trace.entries}, fmt)
     return EXIT_OK
 

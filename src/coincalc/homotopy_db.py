@@ -169,14 +169,15 @@ class Database:
         if rec is not None:
             Trace.note(trace, "stable-suspension-record")
             return rec.hom
-        homs = []
-        mm, nn = m, n
-        while nn < self._range.n_max:
-            homs.append(self.suspension(mm, nn, trace))
-            mm, nn = mm + 1, nn + 1
-        if not homs:
-            return self.pi_sphere(m, n).identity_hom()
-        return compose_homs(*homs)
+        composite = self._suspension_composite(m, n, trace)
+        return composite or self.pi_sphere(m, n).identity_hom()
+
+    def _suspension_composite(self, m: int, n: int, trace: Trace | None = None):
+        """Suspensions composed up to ``n_max``; ``None`` when ``n >= n_max``
+        leaves nothing to compose."""
+        steps = range(self._range.n_max - n)
+        homs = [self.suspension(m + i, n + i, trace) for i in steps]
+        return compose_homs(*homs) if homs else None
 
     # -- antipodal actions ------------------------------------------------------
 
@@ -405,21 +406,13 @@ def _validate_structure(db: Database):
                         f"action"
                     )
         elif rec.kind == "stable_suspension":
-            m, n = rec.m, rec.n
             try:
-                composite = None
-                mm, nn = m, n
-                homs = []
-                while nn < db.range.n_max:
-                    homs.append(db.suspension(mm, nn))
-                    mm, nn = mm + 1, nn + 1
-                if homs:
-                    composite = compose_homs(*homs)
+                composite = db._suspension_composite(rec.m, rec.n)
             except GapError:
                 composite = None
             if composite is not None and composite != rec.hom:
                 raise DataError(
-                    f"stable_suspension ({m},{n}): disagrees with the "
+                    f"stable_suspension ({rec.m},{rec.n}): disagrees with the "
                     f"composite of stored suspensions"
                 )
 
