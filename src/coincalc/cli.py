@@ -41,6 +41,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _requested_format(argv) -> str:
+    """The ``--format`` of ``argv``, read before the full parse so that a
+    parse error is reported in the requested format too."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--format", choices=("human", "machine"), default="human")
+    try:
+        return pre.parse_known_args(argv)[0].format
+    except UsageError:
+        return "human"
+
+
+def _bind_coordinates(argv) -> list[str]:
+    """Attach a value such as ``-1,0`` to its ``--f1``/``--f2`` flag;
+    argparse would read a separate ``-1,0`` as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--f1", "--f2") and arg[:2].lstrip("-").isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _resolve_db_path(arg: str | None) -> str:
     if arg:
         return arg
@@ -448,8 +471,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    argv = _bind_coordinates(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    fmt = "human"
+    fmt = _requested_format(argv)
     try:
         args = parser.parse_args(argv)
         fmt = args.format

@@ -133,6 +133,27 @@ def test_error_exit_for_bad_flags(capsys):
     assert code == EXIT_ERROR
 
 
+def test_parse_error_honours_machine_format(capsys):
+    code, doc, _ = run_machine(capsys, "pi-sphere", "--m", "9")
+    assert code == EXIT_ERROR
+    assert doc["status"] == "error"
+    assert "--n" in doc["message"]
+
+
+def test_leading_negative_coordinate_is_a_value(capsys):
+    # pi_7(S^4) = Z x C12
+    target = ["loose", "--space", "sphere", "--n", "4", "--m", "7"]
+    code, doc, raw = run_machine(capsys, *target, "--f1", "-1,0", "--f2", "2,3")
+    assert code == EXIT_OK
+    assert doc["payload"]["f1"]["coords"] == [-1, 0]
+    _, _, raw_bound = run_machine(capsys, *target, "--f1=-1,0", "--f2", "2,3")
+    assert raw == raw_bound
+    code, doc, _ = run_machine(capsys, "classify", "--space", "sphere", "--n", "3",
+                               "--m", "3", "--f1", "-1,0", "--f2", "2")
+    assert code == EXIT_ERROR
+    assert doc["message"] == "--f1: expected 1 coordinate(s) for Z, got 2"
+
+
 def test_loose_requires_coordinates_for_non_grassmann(capsys):
     code, doc, _ = run_machine(
         capsys, "loose", "--space", "sphere", "--n", "7", "--m", "10"
