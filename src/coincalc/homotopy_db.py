@@ -241,11 +241,24 @@ def _require(cond: bool, message: str):
         raise DataError(message)
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _records(raw: dict, key: str) -> list[dict]:
+    recs = raw.get(key, [])
+    _require(isinstance(recs, list), f"{key} must be a list")
+    for i, rec in enumerate(recs):
+        _require(isinstance(rec, dict), f"{key}[{i}]: record must be an object")
+    return recs
+
+
 def _parse_group(obj, where: str) -> FgAbGroup:
-    _require(isinstance(obj.get("free_rank"), int), f"{where}: free_rank must be an integer")
+    _require(_is_int(obj.get("free_rank")), f"{where}: free_rank must be an integer")
     torsion = obj.get("torsion", [])
     _require(
-        isinstance(torsion, list) and all(isinstance(t, int) for t in torsion),
+        isinstance(torsion, list) and all(_is_int(t) for t in torsion),
         f"{where}: torsion must be a list of integers",
     )
     labels = obj.get("labels")
@@ -263,7 +276,7 @@ def _parse_group(obj, where: str) -> FgAbGroup:
 def _parse_matrix(obj, where: str):
     _require(
         isinstance(obj, list)
-        and all(isinstance(r, list) and all(isinstance(x, int) for x in r) for r in obj),
+        and all(isinstance(r, list) and all(_is_int(x) for x in r) for r in obj),
         f"{where}: matrix must be a list of integer rows",
     )
     return obj
@@ -289,14 +302,15 @@ def build_database(raw: dict) -> Database:
     if range_obj is None:
         range_ = DatabaseRange(1, 0, 0)  # empty window: every lookup is a gap
     else:
+        _require(isinstance(range_obj, dict), "range must be an object")
         for key in ("n_min", "n_max", "stem_max"):
-            _require(isinstance(range_obj.get(key), int), f"range.{key} must be an integer")
+            _require(_is_int(range_obj.get(key)), f"range.{key} must be an integer")
         range_ = DatabaseRange(range_obj["n_min"], range_obj["n_max"], range_obj["stem_max"])
 
     sphere_records = []
-    for rec in raw.get("sphere_groups", []):
+    for rec in _records(raw, "sphere_groups"):
         where = f"sphere_groups[{rec.get('m')},{rec.get('n')}]"
-        _require(isinstance(rec.get("m"), int) and isinstance(rec.get("n"), int),
+        _require(_is_int(rec.get("m")) and _is_int(rec.get("n")),
                  f"{where}: m and n must be integers")
         group = _parse_group(rec, where)
         m, n = rec["m"], rec["n"]
@@ -321,19 +335,30 @@ def build_database(raw: dict) -> Database:
                     f"range hole: pi_{m}(S^{n}) missing from the declared window"
                 ) from None
 
-    hom_records = []
-    for rec in raw.get("homs", []):
-        kind = rec.get("kind")
-        _require(kind in HOM_KINDS, f"hom record has unknown kind {kind!r}")
-        k = rec.get("K")
-        m = rec.get("m")
-        _require(isinstance(m, int), f"{kind} record: m must be an integer")
-        _require(isinstance(rec.get("provenance"), str), f"{kind} record ({m}): provenance required")
-        matrix = _parse_matrix(rec.get("matrix"), f"{kind} record (m={m})")
+    homs = _records(raw, "homs")
+    hom_records = [_parse_hom(db, i, rec) for i, rec in enumerate(homs)]
+
+    db = Database(range_, sphere_records, hom_records)
+    _validate_structure(db)
+    return db
+
+
+def _parse_hom(db: Database, i: int, rec: dict) -> StructureHomRecord:
+    """Hom record ``homs[i]``, checked against the sphere groups of ``db``."""
+    kind = rec.get("kind")
+    _require(kind in HOM_KINDS, f"homs[{i}]: hom record has unknown kind {kind!r}")
+    k = rec.get("K")
+    m = rec.get("m")
+    name = f"homs[{i}] {kind} record"
+    _require(_is_int(m), f"{name}: m must be an integer")
+    _require(isinstance(rec.get("provenance"), str),
+             f"{name} ({m}): provenance required")
+    matrix = _parse_matrix(rec.get("matrix"), f"{name} (m={m})")
+    try:
         if kind in ("suspension", "stable_suspension", "antipodal"):
-            _require(k is None, f"{kind} record (m={m}): K not allowed")
+            _require(k is None, f"{name} (m={m}): K not allowed")
             n = rec.get("n")
-            _require(isinstance(n, int), f"{kind} record (m={m}): n must be an integer")
+            _require(_is_int(n), f"{name} (m={m}): n must be an integer")
             where = f"{kind} ({m},{n})"
             if kind == "suspension":
                 dom, cod = db.pi_sphere(m, n), db.pi_sphere(m + 1, n + 1)
@@ -341,38 +366,29 @@ def build_database(raw: dict) -> Database:
                 dom = cod = db.pi_sphere(m, n)
             else:
                 dom, cod = db.pi_sphere(m, n), db.stable_stem(m - n)
-        elif kind == "boundary":
-            _require(k in FIELDS, f"boundary record (m={m}): K must be R, C or H")
+        else:
+            _require(k in FIELDS, f"{name} (m={m}): K must be R, C or H")
             n = rec.get("nprime")
-            _require(isinstance(n, int), f"boundary record (m={m}): nprime must be an integer")
+            _require(_is_int(n), f"{name} (m={m}): nprime must be an integer")
+            where = f"{kind} ({k},{m},{n})"
             d = FIELD_DIM[k]
-            nn = d * n
-            where = f"boundary ({k},{m},{n})"
-            dom = db.pi_sphere(m, nn + d - 1)
-            cod = db.pi_sphere(m - 1, nn - 1)
-        else:  # stiefel_projection
-            _require(k in FIELDS, f"stiefel_projection record (m={m}): K must be R, C or H")
-            n = rec.get("nprime")
-            _require(isinstance(n, int), f"stiefel_projection record (m={m}): nprime must be an integer")
-            where = f"stiefel_projection ({k},{m},{n})"
-            dom = _parse_group(
-                {
-                    "free_rank": rec.get("domain_free_rank"),
-                    "torsion": rec.get("domain_torsion", []),
-                },
-                where,
-            )
-            d = FIELD_DIM[k]
-            cod = db.pi_sphere(m, d * n + d - 1)
-        try:
-            hom = GroupHom(dom, cod, matrix)
-        except UsageError as exc:
-            raise DataError(f"{where}: {exc}") from exc
-        hom_records.append(StructureHomRecord(kind, k, m, n, hom, rec["provenance"]))
-
-    db = Database(range_, sphere_records, hom_records)
-    _validate_structure(db)
-    return db
+            if kind == "boundary":
+                dom = db.pi_sphere(m, d * n + d - 1)
+                cod = db.pi_sphere(m - 1, d * n - 1)
+            else:  # stiefel_projection
+                dom = _parse_group(
+                    {
+                        "free_rank": rec.get("domain_free_rank"),
+                        "torsion": rec.get("domain_torsion", []),
+                    },
+                    where,
+                )
+                cod = db.pi_sphere(m, d * n + d - 1)
+        hom = GroupHom(dom, cod, matrix)
+    except (UsageError, GapError) as exc:
+        # a bad matrix, or a cell the sphere records do not cover
+        raise DataError(f"{where}: {exc}") from exc
+    return StructureHomRecord(kind, k, m, n, hom, rec["provenance"])
 
 
 def _validate_structure(db: Database):

@@ -268,3 +268,42 @@ def test_build_database_rejects_unknown_kind():
              "sphere_groups": [], "homs": [
                  {"kind": "mystery", "m": 1, "matrix": [], "provenance": "x"}]}
         )
+
+
+def _set_sphere_record(m, n, **fields):
+    def mutate(doc):
+        rec = next(r for r in doc["sphere_groups"] if (r["m"], r["n"]) == (m, n))
+        rec.update(fields)
+    return mutate
+
+
+def _set_suspension_matrix(m, n, matrix):
+    def mutate(doc):
+        rec = next(r for r in doc["homs"]
+                   if r["kind"] == "suspension" and (r["m"], r["n"]) == (m, n))
+        rec["matrix"] = matrix
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (lambda doc: doc.update(sphere_groups=[5]),
+     r"sphere_groups\[0\]: record must be an object"),
+    (lambda doc: doc.update(homs=["x"]), r"homs\[0\]: record must be an object"),
+    (lambda doc: doc.update(range=5), "range must be an object"),
+    (lambda doc: doc.update(homs=5), "homs must be a list"),
+    (lambda doc: doc["range"].update(n_max=True), r"range\.n_max must be an integer"),
+    (_set_sphere_record(3, 2, free_rank=True), r"sphere_groups\[3,2\]: free_rank"),
+    (_set_sphere_record(9, 6, torsion=[True]),
+     r"sphere_groups\[9,6\]: torsion must be a list of integers"),
+    (_set_suspension_matrix(3, 2, [[True]]),
+     r"homs\[0\] suspension record \(m=3\): matrix"),
+    (lambda doc: doc["homs"][0].update(m=True), r"homs\[0\] suspension record: m"),
+    (lambda doc: doc["homs"].append(dict(doc["homs"][0], m=40, n=12)),
+     r"suspension \(40,12\): pi_40\(S\^12\) is not in the database"),
+    (lambda doc: doc["homs"].append(dict(doc["homs"][0], m=0, n=0)),
+     r"suspension \(0,0\): sphere dimensions"),
+])
+def test_malformed_document_is_a_data_error(db_doc, mutate, match):
+    mutate(db_doc)
+    with pytest.raises(DataError, match=match):
+        build_database(db_doc)
