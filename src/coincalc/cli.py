@@ -57,7 +57,8 @@ def _bind_coordinates(argv) -> list[str]:
     argparse would read a separate ``-1,0`` as an option."""
     out = []
     for arg in argv:
-        if out and out[-1] in ("--f1", "--f2") and arg[:2].lstrip("-").isdigit():
+        negative = arg.startswith("-") and arg[1:2].isdigit()
+        if negative and out and out[-1] in ("--f1", "--f2"):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -478,7 +479,6 @@ def main(argv=None) -> int:
     fmt = _requested_format(argv)
     try:
         args = parser.parse_args(argv)
-        fmt = args.format
         db = load_database(_resolve_db_path(args.db))
         trace = Trace()
         payload = _HANDLERS[args.command](db, args, trace)

@@ -277,14 +277,6 @@ def _set_sphere_record(m, n, **fields):
     return mutate
 
 
-def _set_suspension_matrix(m, n, matrix):
-    def mutate(doc):
-        rec = next(r for r in doc["homs"]
-                   if r["kind"] == "suspension" and (r["m"], r["n"]) == (m, n))
-        rec["matrix"] = matrix
-    return mutate
-
-
 @pytest.mark.parametrize("mutate, match", [
     (lambda doc: doc.update(sphere_groups=[5]),
      r"sphere_groups\[0\]: record must be an object"),
@@ -295,7 +287,8 @@ def _set_suspension_matrix(m, n, matrix):
     (_set_sphere_record(3, 2, free_rank=True), r"sphere_groups\[3,2\]: free_rank"),
     (_set_sphere_record(9, 6, torsion=[True]),
      r"sphere_groups\[9,6\]: torsion must be a list of integers"),
-    (_set_suspension_matrix(3, 2, [[True]]),
+    # homs[0] is the suspension pi_3(S^2) -> pi_4(S^3)
+    (lambda doc: doc["homs"][0].update(matrix=[[True]]),
      r"homs\[0\] suspension record \(m=3\): matrix"),
     (lambda doc: doc["homs"][0].update(m=True), r"homs\[0\] suspension record: m"),
     (lambda doc: doc["homs"].append(dict(doc["homs"][0], m=40, n=12)),
