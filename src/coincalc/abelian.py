@@ -82,12 +82,9 @@ class _Snf:
     uinv: Matrix
     v: Matrix
     diag: tuple[int, ...]
+    rank: int
     nrows: int
     ncols: int
-
-    @property
-    def rank(self) -> int:
-        return len(self.diag)
 
     def coefficients(self, b) -> list[int] | None:
         """``w`` with ``(u * b)[i] = diag[i] * w[i]`` for ``i < rank``, or
@@ -97,10 +94,9 @@ class _Snf:
             return None
         w = []
         for yi, d in zip(y, self.diag):
-            q, r = divmod(yi, d)
-            if r:
+            if yi % d:
                 return None
-            w.append(q)
+            w.append(yi // d)
         return w
 
     def solve(self, b) -> list[int] | None:
@@ -217,6 +213,7 @@ def _snf(rows: list[list[int]], ncols: int) -> _Snf:
         uinv=_freeze(uinv),
         v=_freeze(v),
         diag=tuple(diag),
+        rank=len(diag),
         nrows=m,
         ncols=n,
     )
