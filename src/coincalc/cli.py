@@ -14,6 +14,7 @@ answer is not derivable from the shipped data).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,13 +42,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
+def _format_parser() -> _Parser:
+    pre = _Parser(add_help=False)
+    pre.add_argument("--format", choices=("human", "machine"), default="human")
+    return pre
+
+
 def _requested_format(argv) -> str:
     """The ``--format`` of ``argv``, read before the full parse so that a
     parse error is reported in the requested format too."""
-    pre = _Parser(add_help=False)
-    pre.add_argument("--format", choices=("human", "machine"), default="human")
     try:
-        return pre.parse_known_args(argv)[0].format
+        return _format_parser().parse_known_args(argv)[0].format
     except UsageError:
         return "human"
 
@@ -462,6 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing leaves no state behind in it."""
+    return build_parser()
+
+
 _HANDLERS = {
     "pi-sphere": _cmd_pi_sphere,
     "pi-space": _cmd_pi_space,
@@ -475,10 +487,9 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     argv = _bind_coordinates(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     fmt = _requested_format(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         db = load_database(_resolve_db_path(args.db))
         trace = Trace()
         payload = _HANDLERS[args.command](db, args, trace)

@@ -27,7 +27,6 @@ from .errors import GapError, UsageError
 from .fibration import (
     HomotopyClass,
     ProjectiveSpace,
-    boundary_hom,
     boundary_kernel,
     pi_projective,
     suspended_boundary_kernel,
@@ -130,6 +129,26 @@ def _verdict(nielsen, mcc, mc, rule) -> CoincidenceVerdict:
 
 
 # ---------------------------------------------------------------------------
+# suspension images, shared by the sphere and projective rules
+
+
+def _suspension_image(db: Database, m: int, n: int, trace: Trace | None) -> Subgroup:
+    """Image of the suspension pi_{m-1}(S^{n-1}) -> pi_m(S^n)."""
+    return db.memo(("suspension_image", m, n), trace,
+                   lambda t: db.suspension(m - 1, n - 1, t).image())
+
+
+def _suspension_quotient(db: Database, m: int, n: int, trace: Trace | None) -> GroupHom:
+    """Projection of pi_m(S^n) onto its quotient by the suspension image:
+    two classes differ by a suspension exactly when their images agree."""
+    def build(t):
+        image = _suspension_image(db, m, n, t)
+        return image.ambient.quotient_by(image)[1]
+
+    return db.memo(("suspension_quotient", m, n), trace, build)
+
+
+# ---------------------------------------------------------------------------
 # spheres
 
 
@@ -153,8 +172,9 @@ class SphereClassifier:
 
     def suspension_image(self) -> Subgroup:
         if self._suspension_image is None:
-            susp = self.db.suspension(self.m - 1, self.n - 1, self.trace)
-            self._suspension_image = susp.image()
+            self._suspension_image = _suspension_image(
+                self.db, self.m, self.n, self.trace
+            )
         return self._suspension_image
 
     def is_loose(self, z1: GroupElement, z2: GroupElement) -> bool:
@@ -208,7 +228,10 @@ class ProjectiveClassifier:
     antipodal data lazily so that cases whose hypotheses already fail do
     not demand unavailable records.  Only the lift components of the
     classes matter; the summand missing a point plays no role in
-    looseness questions.
+    looseness questions.  The facts the cases read about a single lift
+    class (kernel memberships, antipodal image, suspension coset) are
+    computed once per class, so a sweep over all pairs does linear work
+    in lattice solving.
     """
 
     def __init__(self, db: Database, k: str, m: int, n_prime: int,
@@ -229,6 +252,8 @@ class ProjectiveClassifier:
         self._ker: Subgroup | None = None
         self._ker_susp: Subgroup | None = None
         self._im_susp: Subgroup | None = None
+        self._to_coset: GroupHom | None = None
+        self._facts: dict[tuple, object] = {}
 
     # lazy instance data ----------------------------------------------------
 
@@ -254,10 +279,43 @@ class ProjectiveClassifier:
 
     def suspension_image(self) -> Subgroup:
         if self._im_susp is None:
-            n = self.space.n
-            susp = self.db.suspension(self.m - 1, n - 1, self.trace)
-            self._im_susp = susp.image()
+            self._im_susp = _suspension_image(
+                self.db, self.m, self.space.n, self.trace
+            )
         return self._im_susp
+
+    def suspension_quotient(self) -> GroupHom:
+        if self._to_coset is None:
+            self._to_coset = _suspension_quotient(
+                self.db, self.m, self.space.n, self.trace
+            )
+        return self._to_coset
+
+    # per-class facts ----------------------------------------------------------
+
+    def _per_class(self, fact: str, z: GroupElement, compute):
+        key = (fact, z.coords)
+        if key not in self._facts:
+            self._facts[key] = compute()
+        return self._facts[key]
+
+    def in_kernel(self, z: GroupElement) -> bool:
+        return self._per_class("ker", z, lambda: self.kernel().contains(z))
+
+    def in_suspended_kernel(self, z: GroupElement) -> bool:
+        return self._per_class(
+            "ker_susp", z, lambda: self.suspended_kernel().contains(z)
+        )
+
+    def antipode(self, z: GroupElement) -> GroupElement:
+        return self._per_class("A", z, lambda: self.antipodal()(z))
+
+    def suspension_coset(self, z: GroupElement) -> tuple[int, ...]:
+        """Label of ``z`` modulo the suspension image: ``z1 - z2`` is a
+        suspension exactly when the labels agree."""
+        return self._per_class(
+            "coset", z, lambda: self.suspension_quotient()(z).coords
+        )
 
     # class plumbing -----------------------------------------------------------
 
@@ -278,7 +336,7 @@ class ProjectiveClassifier:
         orbit {z, A(z)}; CP(n') and HP(n') are simply connected.
         """
         if self.k == "R":
-            return z1 == z2 or z1 == self.antipodal()(z2)
+            return z1 == z2 or z1 == self.antipode(z2)
         return z1 == z2
 
     # the seven cases -----------------------------------------------------------
@@ -287,37 +345,40 @@ class ProjectiveClassifier:
         real = self.k == "R"
 
         def case1():
-            return self.freely_homotopic(z1, z2) and self.kernel().contains(z2)
+            return self.freely_homotopic(z1, z2) and self.in_kernel(z2)
 
         def case2():
             return (
                 self.freely_homotopic(z1, z2)
-                and self.suspended_kernel().contains(z2)
-                and not self.kernel().contains(z2)
+                and self.in_suspended_kernel(z2)
+                and not self.in_kernel(z2)
             )
 
         def case3():
             return (
                 real
                 and self.freely_homotopic(z1, z2)
-                and z2 != self.antipodal()(z2)
+                and z2 != self.antipode(z2)
             )
+
+        def suspended_difference():
+            return self.suspension_coset(z1) == self.suspension_coset(z2)
 
         def case4():
             return (
                 real
                 and not self.freely_homotopic(z1, z2)
-                and self.suspension_image().contains(z1 - z2)
+                and suspended_difference()
             )
 
         def case5():
-            return real and not self.suspension_image().contains(z1 - z2)
+            return real and not suspended_difference()
 
         def case6():
             return (
                 not real
                 and z1 == z2
-                and not self.suspended_kernel().contains(z2)
+                and not self.in_suspended_kernel(z2)
             )
 
         def case7():
@@ -369,15 +430,16 @@ def exclusivity_violations(
     sphere = cls.pg.sphere_group
     if sphere.free_rank:
         raise UsageError("exclusivity check needs a finite lift group")
-    elements = list(sphere.enumerate_torsion_part(cap))
+    zero = cls.pg.c_group.zero()
+    classes = [HomotopyClass(cls.space, m, z, zero)
+               for z in sphere.enumerate_torsion_part(cap)]
     bad = []
-    for z1 in elements:
-        for z2 in elements:
-            h1 = HomotopyClass(cls.space, m, z1, cls.pg.c_group.zero())
-            h2 = HomotopyClass(cls.space, m, z2, cls.pg.c_group.zero())
+    for h1 in classes:
+        for h2 in classes:
             matches = cls.matching_cases(h1, h2)
             if len(matches) != 1:
-                bad.append((z1.coords, z2.coords, matches))
+                bad.append((h1.lift_component.coords, h2.lift_component.coords,
+                            matches))
     return bad
 
 
@@ -437,8 +499,7 @@ def loose_pair(
         if not cls.freely_homotopic(z1, z2):
             Trace.note(trace, "projective-projections-differ")
             return LooseAnswer(False, "projective-projections-differ")
-        ker = cls.kernel()
-        ans = ker.contains(z1) or ker.contains(z2)
+        ans = cls.in_kernel(z1) or cls.in_kernel(z2)
         Trace.note(trace, "projective-frame-lift-test")
         return LooseAnswer(ans, "projective-frame-lift-test")
     if isinstance(space, Grassmannian2):
@@ -504,32 +565,50 @@ def filtration_subgroup(db: Database, space: Space, m: int, q,
     coincidence-free maps; q = inf gives the stabilized subgroup."""
     q = _check_q(q)
     if isinstance(space, Sphere):
-        n = space.n
-        group = db.pi_sphere(m, n)
-        if q <= 2:
-            Trace.note(trace, "sphere-filtration-full-below-3")
-            return FiltrationResult(q, group.whole_subgroup(), 3)
-        # from stage 3 on: classes lifting to the unit tangent bundle
-        Trace.note(trace, "sphere-filtration-tangent-lift")
-        ker = boundary_hom(db, "R", m, n, trace).kernel()
-        return FiltrationResult(q, ker, 3)
+        stage = min(q, 3)
+        sub = db.memo(("filtration", space, m, stage), trace,
+                      lambda t: _sphere_stage(db, space.n, m, stage, t))
+        return FiltrationResult(q, sub, 3)
     if isinstance(space, ProjectiveSpace):
+        k, n_prime = space.k, space.n_prime
         if q == 1:
-            pg = pi_projective(db, space.k, m, space.n_prime, trace)
-            return FiltrationResult(q, pg.total.whole_subgroup(), 2)
+            sub = db.memo(
+                ("filtration", space, m, 1), trace,
+                lambda t: pi_projective(db, k, m, n_prime, t).total.whole_subgroup(),
+            )
+            return FiltrationResult(q, sub, 2)
         Trace.note(trace, "projective-filtration-collapse")
-        cls = ProjectiveClassifier(db, space.k, m, space.n_prime, trace)
-        ker = cls.kernel()
-        lifted = [cls.pg.lift_injection(g) for g in ker.canonical_generators]
-        sub = Subgroup(cls.pg.total, tuple(lifted)) + cls.pg.c_subgroup()
+        # the classifier refuses m or n' < 2 with its own message
+        pg = ProjectiveClassifier(db, k, m, n_prime, trace).pg
+
+        def collapse(t):
+            ker = boundary_kernel(db, k, m, n_prime, t)
+            lifted = [pg.lift_injection(g) for g in ker.canonical_generators]
+            return Subgroup(pg.total, tuple(lifted)) + pg.c_subgroup()
+
+        sub = db.memo(("filtration", space, m, 2), trace, collapse)
         return FiltrationResult(q, sub, 2)
     if isinstance(space, Grassmannian2):
         if space.r % 2 == 0:
             Trace.note(trace, "grassmann-filtration-full")
-            whole = grassmann_pi(db, m, space.r, trace).whole_subgroup()
-            return FiltrationResult(q, whole, 1)
+            sub = db.memo(
+                ("filtration", space, m, 1), trace,
+                lambda t: grassmann_pi(db, m, space.r, t).whole_subgroup(),
+            )
+            return FiltrationResult(q, sub, 1)
         raise GapError(f"filtration over G({space.r},2) with odd r is not covered")
     raise UsageError(f"unsupported space {space!r}")
+
+
+def _sphere_stage(db: Database, n: int, m: int, stage: int,
+                  trace: Trace) -> Subgroup:
+    group = db.pi_sphere(m, n)
+    if stage <= 2:
+        Trace.note(trace, "sphere-filtration-full-below-3")
+        return group.whole_subgroup()
+    # from stage 3 on: classes lifting to the unit tangent bundle
+    Trace.note(trace, "sphere-filtration-tangent-lift")
+    return boundary_kernel(db, "R", m, n, trace)
 
 
 # ---------------------------------------------------------------------------

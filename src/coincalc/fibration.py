@@ -116,6 +116,13 @@ def pi_projective(
     db: Database, k: str, m: int, n_prime: int, trace: Trace | None = None
 ) -> ProjectiveHomotopyGroup:
     """Split computation of pi_m(KP(n')) for m, n' >= 2."""
+    return db.memo(("pi_projective", k, m, n_prime), trace,
+                   lambda t: _pi_projective(db, k, m, n_prime, t))
+
+
+def _pi_projective(
+    db: Database, k: str, m: int, n_prime: int, trace: Trace
+) -> ProjectiveHomotopyGroup:
     space = ProjectiveSpace(k, n_prime)
     if m < 2 or n_prime < 2:
         raise UsageError("pi_m(KP(n')) is computed for m, n' >= 2 only")
@@ -209,7 +216,8 @@ def boundary_kernel(
     db: Database, k: str, m: int, n_prime: int, trace: Trace | None = None
 ) -> Subgroup:
     """Kernel of the connecting homomorphism, inside pi_m(S^{n+d-1})."""
-    return boundary_hom(db, k, m, n_prime, trace).kernel()
+    return db.memo(("boundary_kernel", k, m, n_prime), trace,
+                   lambda t: boundary_hom(db, k, m, n_prime, t).kernel())
 
 
 def suspended_boundary_kernel(
@@ -221,6 +229,13 @@ def suspended_boundary_kernel(
     the set of classes that can be made coincidence free without being
     jointly liftable.
     """
+    return db.memo(("suspended_boundary_kernel", k, m, n_prime), trace,
+                   lambda t: _suspended_boundary_kernel(db, k, m, n_prime, t))
+
+
+def _suspended_boundary_kernel(
+    db: Database, k: str, m: int, n_prime: int, trace: Trace
+) -> Subgroup:
     bnd = boundary_hom(db, k, m, n_prime, trace)
     if bnd.is_zero:
         return bnd.domain.whole_subgroup()

@@ -94,10 +94,16 @@ class StiefelSplitting:
 
 
 class Database:
-    """Immutable lookup service; raises ``GapError`` for uncovered cells."""
+    """Immutable lookup service; raises ``GapError`` for uncovered cells.
+
+    Derived instance data (projective splittings, boundary kernels,
+    suspension images, antipodal maps, filtration stages) is built once
+    per database through :meth:`memo`.
+    """
 
     def __init__(self, range_: DatabaseRange, sphere_records, hom_records):
         self._range = range_
+        self._memo: dict = {}
         self._spheres: dict[tuple[int, int], SphereGroupRecord] = {}
         for r in sphere_records:
             if (r.m, r.n) in self._spheres:
@@ -113,6 +119,27 @@ class Database:
     @property
     def range(self) -> DatabaseRange:
         return self._range
+
+    def memo(self, key, trace: Trace | None, build):
+        """The value of ``build(Trace())`` for ``key``, built on first use.
+
+        The rules the build noted are replayed into ``trace`` on every
+        call, so a warm database traces exactly like a fresh one.  A build
+        that raises replays what it noted and stores nothing: the next
+        call builds, and raises, again.  Concurrent first calls may both
+        build; the values are equal, and either may be kept.
+        """
+        entry = self._memo.get(key)
+        if entry is None:
+            local = Trace()
+            try:
+                entry = (build(local), tuple(local.entries))
+            except Exception:
+                Trace.replay(trace, local.entries)
+                raise
+            self._memo[key] = entry
+        Trace.replay(trace, entry[1])
+        return entry[0]
 
     def sphere_records(self):
         return list(self._spheres.values())
@@ -183,6 +210,10 @@ class Database:
 
     def antipodal(self, m: int, n: int, trace: Trace | None = None) -> GroupHom:
         """Automorphism of pi_m(S^n) induced by the antipodal map."""
+        return self.memo(("antipodal", m, n), trace,
+                         lambda t: self._antipodal(m, n, t))
+
+    def _antipodal(self, m: int, n: int, trace: Trace) -> GroupHom:
         g = self.pi_sphere(m, n)
         if n % 2 == 1:
             Trace.note(trace, "antipodal-odd-identity")

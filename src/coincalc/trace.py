@@ -20,3 +20,9 @@ class Trace:
     def note(trace: "Trace | None", rule: str):
         if trace is not None:
             trace.add(rule)
+
+    @staticmethod
+    def replay(trace: "Trace | None", rules):
+        if trace is not None:
+            for rule in rules:
+                trace.add(rule)

@@ -408,6 +408,65 @@ def test_exclusivity_over_all_covered_instances(db):
     assert swept >= 50
 
 
+def _case_oracle(db, k, m, n_prime):
+    """The seven cases evaluated outright on a pair of lift classes:
+    kernels by applying the boundary, the suspension test on ``z1 - z2``
+    with ``Subgroup.contains``, nothing cached per class and no case
+    skipped."""
+    from coincalc.fibration import boundary_hom
+
+    n = ProjectiveSpace(k, n_prime).n
+    real = k == "R"
+    bnd = boundary_hom(db, k, m, n_prime)
+    susp_bnd = None if bnd.is_zero else db.suspension(m - 1, n - 1) @ bnd
+    if real:
+        anti = db.antipodal(m, n)
+        image = db.suspension(m - 1, n - 1).image()
+
+    def in_ker_susp(z):
+        return susp_bnd is None or susp_bnd(z).is_zero
+
+    def cases(z1, z2):
+        in_ker = bnd(z2).is_zero
+        free = z1 == z2 or (real and z1 == anti(z2))
+        suspended = real and image.contains(z1 - z2)
+        table = {
+            1: free and in_ker,
+            2: free and in_ker_susp(z2) and not in_ker,
+            3: real and free and z2 != anti(z2),
+            4: real and not free and suspended,
+            5: real and not suspended,
+            6: not real and z1 == z2 and not in_ker_susp(z2),
+            7: not real and z1 != z2,
+        }
+        return [i for i, holds in table.items() if holds]
+
+    return cases
+
+
+def test_hoisted_case_facts_match_the_direct_oracle(db):
+    """``matching_cases`` reads per-class facts (kernel memberships, A(z),
+    suspension cosets); on every pair of every covered instance of order
+    <= 40 it must agree with the cases evaluated outright."""
+    from conftest import covered_projective_instances
+    from coincalc.fibration import HomotopyClass
+    from coincalc.homotopy_db import Database
+
+    oracle_db = Database(db.range, db.sphere_records(), db.hom_records())
+    pairs = 0
+    for k, m, n_prime, cls in covered_projective_instances(db, max_order=40):
+        oracle = _case_oracle(oracle_db, k, m, n_prime)
+        zero = cls.pg.c_group.zero()
+        lifts = list(cls.pg.sphere_group.enumerate_torsion_part())
+        for z1 in lifts:
+            for z2 in lifts:
+                got = cls.matching_cases(HomotopyClass(cls.space, m, z1, zero),
+                                         HomotopyClass(cls.space, m, z2, zero))
+                assert got == oracle(z1, z2), (k, m, n_prime, z1.coords, z2.coords)
+                pairs += 1
+    assert pairs >= 7000
+
+
 def test_projective_split_exactness_sweep(db):
     # summand injections intersect trivially and jointly generate
     from conftest import covered_projective_instances

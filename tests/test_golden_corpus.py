@@ -45,9 +45,8 @@ def run_machine(argv: list[str]) -> tuple[str, str]:
 
 
 def _share_setup(db, setattr):
-    """Answer every query from one loaded table and one parser."""
-    parser = cli.build_parser()
-    setattr(cli, "build_parser", lambda: parser)
+    """Answer every query from one loaded table (``cli.main`` already
+    keeps one parser per process)."""
     setattr(cli, "load_database", lambda path: db)
 
 
