@@ -251,8 +251,7 @@ class ProjectiveClassifier:
         self._antipodal: GroupHom | None = None
         self._ker: Subgroup | None = None
         self._ker_susp: Subgroup | None = None
-        self._im_susp: Subgroup | None = None
-        self._to_coset: GroupHom | None = None
+        self._susp_quotient: GroupHom | None = None
         self._facts: dict[tuple, object] = {}
 
     # lazy instance data ----------------------------------------------------
@@ -277,19 +276,12 @@ class ProjectiveClassifier:
             )
         return self._ker_susp
 
-    def suspension_image(self) -> Subgroup:
-        if self._im_susp is None:
-            self._im_susp = _suspension_image(
-                self.db, self.m, self.space.n, self.trace
-            )
-        return self._im_susp
-
     def suspension_quotient(self) -> GroupHom:
-        if self._to_coset is None:
-            self._to_coset = _suspension_quotient(
+        if self._susp_quotient is None:
+            self._susp_quotient = _suspension_quotient(
                 self.db, self.m, self.space.n, self.trace
             )
-        return self._to_coset
+        return self._susp_quotient
 
     # per-class facts ----------------------------------------------------------
 
@@ -462,7 +454,7 @@ def covered_projective_instances(db: Database, max_order: int = 64):
                     cls.suspended_kernel()
                     if k == "R":
                         cls.antipodal()
-                        cls.suspension_image()
+                        cls.suspension_quotient()
                 except GapError:
                     continue
                 yield k, m, n_prime, cls
@@ -559,56 +551,48 @@ def pi_punctured(db: Database, space: Space, m: int,
     raise UsageError(f"unsupported space {space!r}")
 
 
+# the stage from which each family's chain is provably constant
+_STABILIZED_AT = {Sphere: 3, ProjectiveSpace: 2, Grassmannian2: 1}
+
+
 def filtration_subgroup(db: Database, space: Space, m: int, q,
                         trace: Trace | None = None) -> FiltrationResult:
     """The stage-q subgroup of classes extending to q pairwise
     coincidence-free maps; q = inf gives the stabilized subgroup."""
     q = _check_q(q)
+    stable = _STABILIZED_AT.get(type(space))
+    if stable is None:
+        raise UsageError(f"unsupported space {space!r}")
+    stage = min(q, stable)
+    sub = db.memo(("filtration", space, m, stage), trace,
+                  lambda t: _filtration_stage(db, space, m, stage, t))
+    return FiltrationResult(q, sub, stable)
+
+
+def _filtration_stage(db: Database, space: Space, m: int, stage: int,
+                      trace: Trace) -> Subgroup:
     if isinstance(space, Sphere):
-        stage = min(q, 3)
-        sub = db.memo(("filtration", space, m, stage), trace,
-                      lambda t: _sphere_stage(db, space.n, m, stage, t))
-        return FiltrationResult(q, sub, 3)
+        n = space.n
+        group = db.pi_sphere(m, n)
+        if stage <= 2:
+            Trace.note(trace, "sphere-filtration-full-below-3")
+            return group.whole_subgroup()
+        # from stage 3 on: classes lifting to the unit tangent bundle
+        Trace.note(trace, "sphere-filtration-tangent-lift")
+        return boundary_kernel(db, "R", m, n, trace)
     if isinstance(space, ProjectiveSpace):
-        k, n_prime = space.k, space.n_prime
-        if q == 1:
-            sub = db.memo(
-                ("filtration", space, m, 1), trace,
-                lambda t: pi_projective(db, k, m, n_prime, t).total.whole_subgroup(),
-            )
-            return FiltrationResult(q, sub, 2)
+        if stage == 1:
+            pg = pi_projective(db, space.k, m, space.n_prime, trace)
+            return pg.total.whole_subgroup()
         Trace.note(trace, "projective-filtration-collapse")
-        # the classifier refuses m or n' < 2 with its own message
-        pg = ProjectiveClassifier(db, k, m, n_prime, trace).pg
-
-        def collapse(t):
-            ker = boundary_kernel(db, k, m, n_prime, t)
-            lifted = [pg.lift_injection(g) for g in ker.canonical_generators]
-            return Subgroup(pg.total, tuple(lifted)) + pg.c_subgroup()
-
-        sub = db.memo(("filtration", space, m, 2), trace, collapse)
-        return FiltrationResult(q, sub, 2)
-    if isinstance(space, Grassmannian2):
-        if space.r % 2 == 0:
-            Trace.note(trace, "grassmann-filtration-full")
-            sub = db.memo(
-                ("filtration", space, m, 1), trace,
-                lambda t: grassmann_pi(db, m, space.r, t).whole_subgroup(),
-            )
-            return FiltrationResult(q, sub, 1)
-        raise GapError(f"filtration over G({space.r},2) with odd r is not covered")
-    raise UsageError(f"unsupported space {space!r}")
-
-
-def _sphere_stage(db: Database, n: int, m: int, stage: int,
-                  trace: Trace) -> Subgroup:
-    group = db.pi_sphere(m, n)
-    if stage <= 2:
-        Trace.note(trace, "sphere-filtration-full-below-3")
-        return group.whole_subgroup()
-    # from stage 3 on: classes lifting to the unit tangent bundle
-    Trace.note(trace, "sphere-filtration-tangent-lift")
-    return boundary_kernel(db, "R", m, n, trace)
+        cls = ProjectiveClassifier(db, space.k, m, space.n_prime, trace)
+        ker = cls.kernel()
+        lifted = [cls.pg.lift_injection(g) for g in ker.canonical_generators]
+        return Subgroup(cls.pg.total, tuple(lifted)) + cls.pg.c_subgroup()
+    if space.r % 2 == 0:
+        Trace.note(trace, "grassmann-filtration-full")
+        return grassmann_pi(db, m, space.r, trace).whole_subgroup()
+    raise GapError(f"filtration over G({space.r},2) with odd r is not covered")
 
 
 # ---------------------------------------------------------------------------

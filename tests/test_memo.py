@@ -7,6 +7,8 @@ a gap is never stored; repeating a query stores nothing new.
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from math import inf
 
 import pytest
@@ -203,3 +205,33 @@ def test_filtration_stages_share_the_stabilized_entry(db):
             filtration_subgroup(d, space, m, q)
     stages = sorted(key[3] for key in d._memo if key[0] == "filtration")
     assert stages == [2, 3]
+
+
+def test_threads_filling_one_database_agree_with_a_fresh_one(db):
+    """Racing first fills may build twice; every thread must still see the
+    answers and traces of a fresh database."""
+    qs = queries(db)[::2]
+    expected = [run(fresh(db), q) for q in qs]
+    shared = fresh(db)
+    results = {}
+
+    def worker(seed):
+        order = list(range(len(qs)))
+        random.Random(seed).shuffle(order)
+        got = {i: run(shared, qs[i]) for i in order}
+        results[seed] = [got[i] for i in range(len(qs))]
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for got in results.values():
+        assert got == expected
