@@ -12,8 +12,8 @@ Regenerate after a deliberate output change, from the repository root::
 
     PYTHONPATH=src python tests/test_golden_corpus.py
 
-and review the diff of ``golden_machine.json``: each changed entry is a
-changed answer.
+It prints every changed, added or removed entry and their count; each
+changed entry is a changed answer.
 """
 
 from __future__ import annotations
@@ -146,13 +146,19 @@ def main() -> None:
     from coincalc.homotopy_db import load_default_database
 
     _share_setup(load_default_database(), setattr)
+    old = json.loads(CORPUS_PATH.read_text("utf-8")) if CORPUS_PATH.exists() else {}
     corpus = {}
     for argv in corpus_argvs():
         line = " ".join(argv)
         assert line.split(" ") == argv, argv
         corpus.setdefault(line, run_machine(argv)[0])
+    changes = [f"changed {line}: {old[line]} -> {value}"
+               for line, value in corpus.items() if old.get(line, value) != value]
+    changes += [f"added {line}: {corpus[line]}" for line in corpus if line not in old]
+    changes += [f"removed {line}: {old[line]}" for line in old if line not in corpus]
+    print("\n".join(changes + [f"{len(changes)} entries changed, added or removed"]))
     CORPUS_PATH.write_text(json.dumps(corpus, indent=0) + "\n", "utf-8")
-    print(f"{len(corpus)} entries written to {CORPUS_PATH}")
+    print(f"{len(corpus)} entries written to {CORPUS_PATH.name}")
 
 
 if __name__ == "__main__":
