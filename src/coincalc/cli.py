@@ -161,25 +161,16 @@ def _space_from_args(args) -> coincidence.Space:
     raise UsageError(f"unknown space {kind!r}")
 
 
-def _space_payload(space) -> dict:
-    if isinstance(space, Sphere):
-        return {"family": "sphere", "n": space.n, "dimension": space.dimension}
-    if isinstance(space, ProjectiveSpace):
-        return {
-            "family": {"R": "rp", "C": "cp", "H": "hp"}[space.k],
-            "K": space.k,
-            "nprime": space.n_prime,
-            "dimension": space.dimension,
-        }
-    return {"family": "grassmann", "r": space.r, "dimension": space.dimension}
+def _target(args):
+    """The space of a space command, its family and the payload head."""
+    space = _space_from_args(args)
+    family = coincidence.family_of(space)
+    return space, family, {"space": family.payload(space), "m": args.m}
 
 
-def _space_group(db: Database, space, m: int, trace) -> FgAbGroup:
-    if isinstance(space, Sphere):
-        return db.pi_sphere(m, space.n)
-    if isinstance(space, ProjectiveSpace):
-        return fibration.pi_projective(db, space.k, m, space.n_prime, trace).total
-    return coincidence.grassmann_pi(db, m, space.r, trace)
+def _parse_pair(db, family, space, args, trace):
+    group = family.pi(db, space, args.m, trace)
+    return _parse_coords(args.f1, group, "--f1"), _parse_coords(args.f2, group, "--f2")
 
 
 # ---------------------------------------------------------------------------
@@ -193,76 +184,39 @@ def _cmd_pi_sphere(db, args, trace):
 
 
 def _cmd_pi_space(db, args, trace):
-    space = _space_from_args(args)
-    payload = {"space": _space_payload(space), "m": args.m}
-    if isinstance(space, ProjectiveSpace):
-        pg = fibration.pi_projective(db, space.k, args.m, space.n_prime, trace)
-        payload["group"] = group_payload(pg.total)
-        payload["lift_summand"] = group_payload(pg.sphere_group)
-        payload["punctured_summand"] = group_payload(pg.c_group)
-    else:
-        payload["group"] = group_payload(_space_group(db, space, args.m, trace))
+    space, family, payload = _target(args)
+    for key, group in family.summands(db, space, args.m, trace).items():
+        payload[key] = group_payload(group)
     return payload
 
 
 def _cmd_filtration(db, args, trace):
-    space = _space_from_args(args)
+    space, _, payload = _target(args)
     q = _parse_q(args.q)
     res = coincidence.filtration_subgroup(db, space, args.m, q, trace)
-    return {
-        "space": _space_payload(space),
-        "m": args.m,
-        "q": "infinity" if q == inf else q,
-        "stabilized_at": res.stabilized_at,
-        "subgroup": subgroup_payload(res.subgroup),
-    }
+    return {**payload, "q": "infinity" if q == inf else q,
+            "stabilized_at": res.stabilized_at,
+            "subgroup": subgroup_payload(res.subgroup)}
 
 
 def _cmd_classify(db, args, trace):
-    space = _space_from_args(args)
-    group = _space_group(db, space, args.m, trace)
-    f1 = _parse_coords(args.f1, group, "--f1")
-    f2 = _parse_coords(args.f2, group, "--f2")
-    if isinstance(space, Sphere):
-        verdict = coincidence.classify_sphere_pair(db, args.m, space.n, f1, f2, trace)
-    elif isinstance(space, ProjectiveSpace):
-        verdict = coincidence.classify_projective_pair(
-            db, space.k, args.m, space.n_prime, f1, f2, trace
-        )
-    else:
-        raise UsageError(
-            "classify supports spheres and projective spaces; use `loose` "
-            "for Grassmannians"
-        )
-    return {
-        "space": _space_payload(space),
-        "m": args.m,
-        "f1": element_payload(f1),
-        "f2": element_payload(f2),
-        "verdict": verdict_payload(verdict),
-    }
+    space, family, payload = _target(args)
+    f1, f2 = _parse_pair(db, family, space, args, trace)
+    verdict = family.classify(db, space, args.m, f1, f2, trace)
+    return {**payload, "f1": element_payload(f1), "f2": element_payload(f2),
+            "verdict": verdict_payload(verdict)}
 
 
 def _cmd_loose(db, args, trace):
-    space = _space_from_args(args)
-    if isinstance(space, Grassmannian2):
-        answer = coincidence.loose_pair(db, space, args.m, trace=trace)
-        pair = {}
-    else:
+    space, family, payload = _target(args)
+    f1 = f2 = None
+    if not family.ignores_classes:
         if args.f1 is None or args.f2 is None:
             raise UsageError("loose requires --f1 and --f2 for this space")
-        group = _space_group(db, space, args.m, trace)
-        f1 = _parse_coords(args.f1, group, "--f1")
-        f2 = _parse_coords(args.f2, group, "--f2")
-        answer = coincidence.loose_pair(db, space, args.m, f1, f2, trace)
-        pair = {"f1": element_payload(f1), "f2": element_payload(f2)}
-    return {
-        "space": _space_payload(space),
-        "m": args.m,
-        **pair,
-        "loose": answer.loose,
-        "rule": answer.rule,
-    }
+        f1, f2 = _parse_pair(db, family, space, args, trace)
+        payload.update(f1=element_payload(f1), f2=element_payload(f2))
+    answer = coincidence.loose_pair(db, space, args.m, f1, f2, trace)
+    return {**payload, "loose": answer.loose, "rule": answer.rule}
 
 
 def _cmd_grassmann(db, args, trace):
@@ -430,14 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("human", "machine"), default="human")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_space_flags(p, with_m=True):
+    def add_space_flags(p):
         p.add_argument("--space", required=True,
                        choices=("sphere", "rp", "cp", "hp", "grassmann"))
         p.add_argument("--n", type=int, help="sphere dimension")
         p.add_argument("--nprime", type=int, help="projective dimension n'")
         p.add_argument("--r", type=int, help="Grassmannian rank r")
-        if with_m:
-            p.add_argument("--m", type=int, required=True, help="source sphere dimension")
+        p.add_argument("--m", type=int, required=True, help="source sphere dimension")
 
     p = sub.add_parser("pi-sphere", help="look up pi_m(S^n)")
     p.add_argument("--m", type=int, required=True)

@@ -164,18 +164,13 @@ class SphereClassifier:
         self.trace = trace
         self.group = db.pi_sphere(m, n)
         self.antipodal = db.antipodal(m, n, trace)
-        self._suspension_image: Subgroup | None = None
 
     def _check(self, z: GroupElement):
         if z.group != self.group:
             raise UsageError(f"class does not live in pi_{self.m}(S^{self.n})")
 
     def suspension_image(self) -> Subgroup:
-        if self._suspension_image is None:
-            self._suspension_image = _suspension_image(
-                self.db, self.m, self.n, self.trace
-            )
-        return self._suspension_image
+        return _suspension_image(self.db, self.m, self.n, self.trace)
 
     def is_loose(self, z1: GroupElement, z2: GroupElement) -> bool:
         self._check(z1)
@@ -461,52 +456,13 @@ def covered_projective_instances(db: Database, max_order: int = 64):
 
 
 # ---------------------------------------------------------------------------
-# loose pairs across all families
+# answers shared by all families
 
 
 @dataclass(frozen=True)
 class LooseAnswer:
     loose: bool
     rule: str
-
-
-def loose_pair(
-    db: Database, space: Space, m: int, x1=None, x2=None,
-    trace: Trace | None = None,
-) -> LooseAnswer:
-    """Decide whether the pair of classes is loose, with the rule used.
-
-    For Grassmannians of even rank the answer does not depend on the
-    classes at all.
-    """
-    if isinstance(space, Sphere):
-        cls = SphereClassifier(db, m, space.n, trace)
-        ans = cls.is_loose(x1, x2)
-        Trace.note(trace, "sphere-antipodal-test")
-        return LooseAnswer(ans, "sphere-antipodal-test")
-    if isinstance(space, ProjectiveSpace):
-        cls = ProjectiveClassifier(db, space.k, m, space.n_prime, trace)
-        z1 = cls.lift_component(x1)
-        z2 = cls.lift_component(x2)
-        if not cls.freely_homotopic(z1, z2):
-            Trace.note(trace, "projective-projections-differ")
-            return LooseAnswer(False, "projective-projections-differ")
-        ans = cls.in_kernel(z1) or cls.in_kernel(z2)
-        Trace.note(trace, "projective-frame-lift-test")
-        return LooseAnswer(ans, "projective-frame-lift-test")
-    if isinstance(space, Grassmannian2):
-        if space.r % 2 == 0:
-            Trace.note(trace, "grassmann-even-complement")
-            return LooseAnswer(True, "grassmann-even-complement")
-        raise GapError(
-            f"looseness over G({space.r},2) with odd r is not covered by the "
-            "implemented results"
-        )
-    raise UsageError(f"unsupported space {space!r}")
-
-
-# ---------------------------------------------------------------------------
-# filtration subgroups
 
 
 @dataclass(frozen=True)
@@ -528,71 +484,6 @@ def _check_q(q):
     if isinstance(q, int) and q >= 1:
         return q
     raise UsageError("filtration stage q must be a positive integer or inf")
-
-
-def pi_punctured(db: Database, space: Space, m: int,
-                 trace: Trace | None = None) -> Subgroup:
-    """Classes of maps that miss a point of the target: the classes
-    loose against every constant map."""
-    if isinstance(space, Sphere):
-        Trace.note(trace, "punctured-sphere-trivial")
-        return db.pi_sphere(m, space.n).trivial_subgroup()
-    if isinstance(space, ProjectiveSpace):
-        pg = pi_projective(db, space.k, m, space.n_prime, trace)
-        Trace.note(trace, "punctured-projective-summand")
-        return pg.c_subgroup()
-    if isinstance(space, Grassmannian2):
-        if space.r % 2 == 0:
-            Trace.note(trace, "punctured-grassmann-surjective")
-            return grassmann_pi(db, m, space.r, trace).whole_subgroup()
-        raise GapError(
-            f"pi^c over G({space.r},2) with odd r is not covered"
-        )
-    raise UsageError(f"unsupported space {space!r}")
-
-
-# the stage from which each family's chain is provably constant
-_STABILIZED_AT = {Sphere: 3, ProjectiveSpace: 2, Grassmannian2: 1}
-
-
-def filtration_subgroup(db: Database, space: Space, m: int, q,
-                        trace: Trace | None = None) -> FiltrationResult:
-    """The stage-q subgroup of classes extending to q pairwise
-    coincidence-free maps; q = inf gives the stabilized subgroup."""
-    q = _check_q(q)
-    stable = _STABILIZED_AT.get(type(space))
-    if stable is None:
-        raise UsageError(f"unsupported space {space!r}")
-    stage = min(q, stable)
-    sub = db.memo(("filtration", space, m, stage), trace,
-                  lambda t: _filtration_stage(db, space, m, stage, t))
-    return FiltrationResult(q, sub, stable)
-
-
-def _filtration_stage(db: Database, space: Space, m: int, stage: int,
-                      trace: Trace) -> Subgroup:
-    if isinstance(space, Sphere):
-        n = space.n
-        group = db.pi_sphere(m, n)
-        if stage <= 2:
-            Trace.note(trace, "sphere-filtration-full-below-3")
-            return group.whole_subgroup()
-        # from stage 3 on: classes lifting to the unit tangent bundle
-        Trace.note(trace, "sphere-filtration-tangent-lift")
-        return boundary_kernel(db, "R", m, n, trace)
-    if isinstance(space, ProjectiveSpace):
-        if stage == 1:
-            pg = pi_projective(db, space.k, m, space.n_prime, trace)
-            return pg.total.whole_subgroup()
-        Trace.note(trace, "projective-filtration-collapse")
-        cls = ProjectiveClassifier(db, space.k, m, space.n_prime, trace)
-        ker = cls.kernel()
-        lifted = [cls.pg.lift_injection(g) for g in ker.canonical_generators]
-        return Subgroup(cls.pg.total, tuple(lifted)) + cls.pg.c_subgroup()
-    if space.r % 2 == 0:
-        Trace.note(trace, "grassmann-filtration-full")
-        return grassmann_pi(db, m, space.r, trace).whole_subgroup()
-    raise GapError(f"filtration over G({space.r},2) with odd r is not covered")
 
 
 # ---------------------------------------------------------------------------
@@ -651,13 +542,205 @@ def grassmann_all_loose(r: int) -> bool | None:
     (unknown) outside the even-rank hypothesis."""
     if r < 4:
         raise UsageError("G_{r,2} is supported for r >= 4")
-    if r % 2 == 0:
-        return True
-    return None
+    return True if r % 2 == 0 else None
+
+
+def _even_rank(space: Grassmannian2, what: str) -> None:
+    if space.r % 2:
+        raise GapError(f"{what} over G({space.r},2) with odd r is not covered")
 
 
 # ---------------------------------------------------------------------------
-# the base-point transfer isomorphism
+# the family table
+
+
+class TargetFamily:
+    """The rules of one kind of target: the groups ``summands`` (pi_m, which
+    class coordinates refer to, under ``"group"``), the ``payload`` naming
+    a space, and the answers ``classify``, ``loose``, ``punctured``,
+    filtration ``stage`` and ``transfer``.  Module functions are called by
+    global name at call time, so a wrapper on a name sees every call."""
+
+    stabilized_at: int  # the stage from which the chain is provably constant
+    ignores_classes = False  # looseness is decided without reading the pair
+
+    def pi(self, db: Database, space, m: int, trace) -> FgAbGroup:
+        return self.summands(db, space, m, trace)["group"]
+
+
+class _Spheres(TargetFamily):
+    stabilized_at = 3
+
+    def summands(self, db, space, m, trace):
+        return {"group": db.pi_sphere(m, space.n)}
+
+    def payload(self, space):
+        return {"family": "sphere", "n": space.n, "dimension": space.dimension}
+
+    def classify(self, db, space, m, z1, z2, trace):
+        return classify_sphere_pair(db, m, space.n, z1, z2, trace)
+
+    def loose(self, db, space, m, x1, x2, trace):
+        ans = SphereClassifier(db, m, space.n, trace).is_loose(x1, x2)
+        Trace.note(trace, "sphere-antipodal-test")
+        return LooseAnswer(ans, "sphere-antipodal-test")
+
+    def punctured(self, db, space, m, trace):
+        Trace.note(trace, "punctured-sphere-trivial")
+        return db.pi_sphere(m, space.n).trivial_subgroup()
+
+    def stage(self, db, space, m, stage, trace):
+        if stage <= 2:
+            group = db.pi_sphere(m, space.n)
+            Trace.note(trace, "sphere-filtration-full-below-3")
+            return group.whole_subgroup()
+        # from stage 3 on: classes lifting to the unit tangent bundle
+        Trace.note(trace, "sphere-filtration-tangent-lift")
+        return boundary_kernel(db, "R", m, space.n, trace)
+
+    def transfer(self, db, space, m, trace):
+        group = db.pi_sphere(m, space.n)
+        quotient, proj = group.quotient_by(group.trivial_subgroup())
+        a = db.antipodal(m, space.n, trace)
+        Trace.note(trace, "transfer-sphere-antipodal")
+        return proj @ a @ proj.inverse()
+
+
+class _ProjectiveSpaces(TargetFamily):
+    stabilized_at = 2
+
+    def summands(self, db, space, m, trace):
+        pg = pi_projective(db, space.k, m, space.n_prime, trace)
+        return {"group": pg.total, "lift_summand": pg.sphere_group,
+                "punctured_summand": pg.c_group}
+
+    def payload(self, space):
+        return {"family": {"R": "rp", "C": "cp", "H": "hp"}[space.k], "K": space.k,
+                "nprime": space.n_prime, "dimension": space.dimension}
+
+    def classify(self, db, space, m, z1, z2, trace):
+        return classify_projective_pair(db, space.k, m, space.n_prime, z1, z2, trace)
+
+    def loose(self, db, space, m, x1, x2, trace):
+        cls = ProjectiveClassifier(db, space.k, m, space.n_prime, trace)
+        z1 = cls.lift_component(x1)
+        z2 = cls.lift_component(x2)
+        if not cls.freely_homotopic(z1, z2):
+            Trace.note(trace, "projective-projections-differ")
+            return LooseAnswer(False, "projective-projections-differ")
+        ans = cls.in_kernel(z1) or cls.in_kernel(z2)
+        Trace.note(trace, "projective-frame-lift-test")
+        return LooseAnswer(ans, "projective-frame-lift-test")
+
+    def punctured(self, db, space, m, trace):
+        pg = pi_projective(db, space.k, m, space.n_prime, trace)
+        Trace.note(trace, "punctured-projective-summand")
+        return pg.c_subgroup()
+
+    def stage(self, db, space, m, stage, trace):
+        if stage == 1:
+            return self.pi(db, space, m, trace).whole_subgroup()
+        Trace.note(trace, "projective-filtration-collapse")
+        cls = ProjectiveClassifier(db, space.k, m, space.n_prime, trace)
+        ker = cls.kernel()
+        lifted = [cls.pg.lift_injection(g) for g in ker.canonical_generators]
+        return Subgroup(cls.pg.total, tuple(lifted)) + cls.pg.c_subgroup()
+
+    def transfer(self, db, space, m, trace):
+        stage2 = filtration_subgroup(db, space, m, 2, trace).subgroup
+        punct = pi_punctured(db, space, m, trace)
+        canon = stage2.canonical_form
+        coords = [stage2.coordinates_of(g) for g in punct.canonical_generators]
+        if None in coords:
+            raise GapError("punctured classes do not sit inside the stage-2 "
+                           "subgroup; inconsistent instance data")
+        inner = canon.subgroup([canon.element(c) for c in coords])
+        quotient, _ = canon.quotient_by(inner)
+        Trace.note(trace, "transfer-projective-identity")
+        # induced by a self-map homotopic to the identity
+        return quotient.identity_hom()
+
+
+class _Grassmannians(TargetFamily):
+    stabilized_at = 1
+    ignores_classes = True  # for even r every pair is loose
+
+    def summands(self, db, space, m, trace):
+        return {"group": grassmann_pi(db, m, space.r, trace)}
+
+    def payload(self, space):
+        return {"family": "grassmann", "r": space.r, "dimension": space.dimension}
+
+    def classify(self, db, space, m, z1, z2, trace):
+        raise UsageError("classify supports spheres and projective spaces; "
+                         "use `loose` for Grassmannians")
+
+    def loose(self, db, space, m, x1, x2, trace):
+        _even_rank(space, "looseness")
+        Trace.note(trace, "grassmann-even-complement")
+        return LooseAnswer(True, "grassmann-even-complement")
+
+    def punctured(self, db, space, m, trace):
+        _even_rank(space, "pi^c")
+        Trace.note(trace, "punctured-grassmann-surjective")
+        return self.pi(db, space, m, trace).whole_subgroup()
+
+    def stage(self, db, space, m, stage, trace):
+        _even_rank(space, "filtration")
+        Trace.note(trace, "grassmann-filtration-full")
+        return self.pi(db, space, m, trace).whole_subgroup()
+
+    def transfer(self, db, space, m, trace):
+        _even_rank(space, "transfer")
+        Trace.note(trace, "transfer-grassmann-trivial")
+        return FgAbGroup.trivial().identity_hom()
+
+
+_FAMILIES = {Sphere: _Spheres(), ProjectiveSpace: _ProjectiveSpaces(),
+             Grassmannian2: _Grassmannians()}
+
+
+def family_of(space: Space) -> TargetFamily:
+    """The rules for the kind of ``space``: the one dispatch on its type."""
+    family = _FAMILIES.get(type(space))
+    if family is None:
+        raise UsageError(f"unsupported space {space!r}")
+    return family
+
+
+# ---------------------------------------------------------------------------
+# the questions, for any supported target
+
+
+def loose_pair(
+    db: Database, space: Space, m: int, x1=None, x2=None,
+    trace: Trace | None = None,
+) -> LooseAnswer:
+    """Decide whether the pair of classes is loose, with the rule used.
+
+    For Grassmannians of even rank the answer does not depend on the
+    classes at all.
+    """
+    return family_of(space).loose(db, space, m, x1, x2, trace)
+
+
+def pi_punctured(db: Database, space: Space, m: int,
+                 trace: Trace | None = None) -> Subgroup:
+    """Classes of maps that miss a point of the target: the classes
+    loose against every constant map."""
+    return family_of(space).punctured(db, space, m, trace)
+
+
+def filtration_subgroup(db: Database, space: Space, m: int, q,
+                        trace: Trace | None = None) -> FiltrationResult:
+    """The stage-q subgroup of classes extending to q pairwise
+    coincidence-free maps; q = inf gives the stabilized subgroup."""
+    q = _check_q(q)
+    family = family_of(space)
+    stage = min(q, family.stabilized_at)
+    sub = db.memo(("filtration", space, m, stage), trace,
+                  lambda t: family.stage(db, space, m, stage, t))
+    return FiltrationResult(q, sub, family.stabilized_at)
 
 
 def transfer_isomorphism(db: Database, space: Space, m: int,
@@ -665,32 +748,4 @@ def transfer_isomorphism(db: Database, space: Space, m: int,
     """The isomorphism of (stage-2 filtration)/(punctured classes) that
     swaps the roles of the two maps in a loose pair, expressed as an
     endomorphism of the canonical quotient."""
-    if isinstance(space, Sphere):
-        group = db.pi_sphere(m, space.n)
-        quotient, proj = group.quotient_by(group.trivial_subgroup())
-        a = db.antipodal(m, space.n, trace)
-        Trace.note(trace, "transfer-sphere-antipodal")
-        return proj @ a @ proj.inverse()
-    if isinstance(space, ProjectiveSpace):
-        stage2 = filtration_subgroup(db, space, m, 2, trace).subgroup
-        punct = pi_punctured(db, space, m, trace)
-        canon = stage2.canonical_form
-        inner = []
-        for g in punct.canonical_generators:
-            coords = stage2.coordinates_of(g)
-            if coords is None:
-                raise GapError(
-                    "punctured classes do not sit inside the stage-2 subgroup; "
-                    "inconsistent instance data"
-                )
-            inner.append(canon.element(coords))
-        quotient, _ = canon.quotient_by(canon.subgroup(inner))
-        Trace.note(trace, "transfer-projective-identity")
-        # induced by a self-map homotopic to the identity
-        return quotient.identity_hom()
-    if isinstance(space, Grassmannian2):
-        if space.r % 2 == 0:
-            Trace.note(trace, "transfer-grassmann-trivial")
-            return FgAbGroup.trivial().identity_hom()
-        raise GapError("transfer over odd-rank Grassmannians is not covered")
-    raise UsageError(f"unsupported space {space!r}")
+    return family_of(space).transfer(db, space, m, trace)
