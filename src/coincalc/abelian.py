@@ -23,9 +23,9 @@ the Smith normal form of a list of columns, and the resulting
 whether a vector lies in it (:meth:`_Snf.coefficients`), which integer
 combination of the columns gives it (:meth:`_Snf.solve`), and which
 combinations give zero (:meth:`_Snf.kernel_basis`).  Kernels,
-preimages, inverses, membership, subgroup coordinates and intersections
-are each one of these calls, and every canonical form (quotients,
-direct sums, subgroups) comes from :func:`_canonicalize_presentation`.
+inverses, membership, subgroup coordinates and intersections are each
+one of these calls, and every canonical form (quotients, direct sums,
+subgroups) comes from :func:`_canonicalize_presentation`.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -594,15 +594,6 @@ class GroupHom:
 
     def is_bijective(self) -> bool:
         return self.is_surjective() and self.kernel().is_trivial
-
-    def preimage_of(self, elem: GroupElement) -> GroupElement:
-        """Some preimage of ``elem``; raises ``UsageError`` if none exists."""
-        if elem.group != self.codomain:
-            raise UsageError("element is not in the codomain")
-        x = self._solver().solve(elem.coords)
-        if x is None:
-            raise UsageError("element has no preimage")
-        return self.domain.element(x[: self.domain.ngens])
 
     def inverse(self) -> "GroupHom":
         """Inverse of an isomorphism; raises ``UsageError`` otherwise."""

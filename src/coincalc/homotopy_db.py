@@ -88,8 +88,6 @@ class StiefelSplitting:
     """
 
     group: FgAbGroup
-    fiber_injection: GroupHom
-    base_injection: GroupHom
     base_projection: GroupHom
 
 
@@ -257,8 +255,6 @@ class Database:
         ds = fiber.direct_sum(base)
         return StiefelSplitting(
             group=ds.group,
-            fiber_injection=ds.injections[0],
-            base_injection=ds.injections[1],
             base_projection=ds.projections[1],
         )
 
