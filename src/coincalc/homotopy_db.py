@@ -263,6 +263,9 @@ class Database:
 # loading and validation
 
 
+FORMAT = "coincalc-homotopy-db/1"
+
+
 def _require(cond: bool, message: str):
     if not cond:
         raise DataError(message)
@@ -325,6 +328,8 @@ def load_database(path) -> Database:
 
 def build_database(raw: dict) -> Database:
     _require(isinstance(raw, dict), "database document must be a JSON object")
+    fmt = raw.get("format", FORMAT)  # a document without one is read as this
+    _require(fmt == FORMAT, f"format must be {FORMAT!r}, got {fmt!r}")
     range_obj = raw.get("range")
     if range_obj is None:
         range_ = DatabaseRange(1, 0, 0)  # empty window: every lookup is a gap

@@ -295,6 +295,13 @@ def _set_sphere_record(m, n, **fields):
      r"suspension \(40,12\): pi_40\(S\^12\) is not in the database"),
     (lambda doc: doc["homs"].append(dict(doc["homs"][0], m=0, n=0)),
      r"suspension \(0,0\): sphere dimensions"),
+    # a present format must be this one; an absent one is read as it
+    (lambda doc: doc.update(format="coincalc-homotopy-db/2"), "^format must be"),
+    (lambda doc: doc.update(format=""), "^format must be"),
+    (lambda doc: doc.update(format=True), "^format must be .*, got True$"),
+    (lambda doc: doc.update(format=1), "^format must be .*, got 1$"),
+    (lambda doc: doc.update(format=None), "^format must be .*, got None$"),
+    (lambda doc: doc.update(format=["coincalc-homotopy-db/1"]), "^format must be"),
 ])
 def test_malformed_document_is_a_data_error(db_doc, mutate, match):
     mutate(db_doc)
