@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from math import inf
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from coincalc.abelian import FgAbGroup
 from coincalc.coincidence import (
     Grassmannian2,
+    ProjectiveClassifier,
     Sphere,
     SphereClassifier,
     classify_projective_pair,
@@ -395,6 +397,33 @@ def test_transfer_is_involution_where_defined(db):
         assert (t @ t) == t.domain.identity_hom()
 
 
+# --- one dispatch per target family ---------------------------------------------------
+
+_QUESTIONS = {
+    "looseness": lambda db, space, m: loose_pair(db, space, m),
+    "pi^c": lambda db, space, m: pi_punctured(db, space, m),
+    "filtration": lambda db, space, m: filtration_subgroup(db, space, m, 2),
+    "transfer": lambda db, space, m: transfer_isomorphism(db, space, m),
+}
+
+
+@pytest.mark.parametrize("ask", _QUESTIONS.values(), ids=_QUESTIONS)
+def test_unsupported_space_is_one_usage_error(db, ask):
+    for space in ("S^6", 6, None):
+        with pytest.raises(UsageError) as exc:
+            ask(db, space, 9)
+        assert str(exc.value) == f"unsupported space {space!r}"
+
+
+@pytest.mark.parametrize("what", _QUESTIONS)
+def test_odd_rank_grassmannian_is_one_gap(db, what):
+    # parity is checked first: m = 1 would be refused by grassmann_pi
+    for m in (1, 9):
+        with pytest.raises(GapError) as exc:
+            _QUESTIONS[what](db, Grassmannian2(5), m)
+        assert str(exc.value) == f"{what} over G(5,2) with odd r is not covered"
+
+
 # --- instance sweeps of the structural claims ------------------------------------
 
 
@@ -465,6 +494,55 @@ def test_hoisted_case_facts_match_the_direct_oracle(db):
                 assert got == oracle(z1, z2), (k, m, n_prime, z1.coords, z2.coords)
                 pairs += 1
     assert pairs >= 7000
+
+
+def _with_boundary_record(doc, k, m, n_prime, matrix):
+    """The shipped document plus one hand-built boundary record."""
+    from coincalc.homotopy_db import build_database
+
+    doc["homs"].append({"kind": "boundary", "K": k, "m": m, "nprime": n_prime,
+                        "matrix": matrix, "provenance": "hand-built test record"})
+    return build_database(doc)
+
+
+def test_projective_case2_where_suspension_enlarges_the_kernel(db_doc):
+    """On the shipped data the suspended boundary kernel equals the
+    kernel, so case 2 never fires there.  Here pi_10(S^7) = C24 maps onto
+    pi_9(S^5) = C2 and suspension kills that C2 (pi_10(S^6) = 0): the
+    kernel is C12, the suspended kernel all of C24."""
+    from coincalc.fibration import HomotopyClass
+
+    d = _with_boundary_record(db_doc, "C", 10, 3, [[1]])
+    cls = ProjectiveClassifier(d, "C", 10, 3)
+    assert cls.kernel().canonical_form == FgAbGroup(0, (12,))
+    assert cls.suspended_kernel().canonical_form == FgAbGroup(0, (24,))
+    lifts = list(cls.pg.sphere_group.enumerate_torsion_part())
+    rules = Counter()
+    for z in lifts:
+        x = cls.pg.lift_injection(z)
+        assert len(cls.matching_cases(x, x)) == 1
+        rules[classify_projective_pair(d, "C", 10, 3, x, x).rule] += 1
+    assert rules == {"projective-case-1": 12, "projective-case-2": 12}
+    oracle = _case_oracle(d, "C", 10, 3)
+    zero = cls.pg.c_group.zero()
+    for z1 in lifts:
+        for z2 in lifts:
+            got = cls.matching_cases(HomotopyClass(cls.space, 10, z1, zero),
+                                     HomotopyClass(cls.space, 10, z2, zero))
+            assert got == oracle(z1, z2), (z1.coords, z2.coords)
+    assert exclusivity_violations(d, "C", 10, 3) == []
+
+
+def test_projective_real_case2_from_a_boundary_record(db_doc):
+    # pi_7(S^3) = C2 -> pi_6(S^2) = C12 sends g to 6, which suspends to 0
+    from coincalc.fibration import pi_projective
+
+    d = _with_boundary_record(db_doc, "R", 7, 3, [[6]])
+    pg = pi_projective(d, "R", 7, 3)
+    g = pg.lift_injection(pg.sphere_group.element([1]))
+    v = classify_projective_pair(d, "R", 7, 3, g, g)
+    assert v.rule == "projective-case-2"
+    assert v.numbers() == (0, 1, 1)
 
 
 def test_projective_split_exactness_sweep(db):
