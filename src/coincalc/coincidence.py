@@ -129,20 +129,15 @@ def _verdict(nielsen, mcc, mc, rule) -> CoincidenceVerdict:
 
 
 # ---------------------------------------------------------------------------
-# suspension images, shared by the sphere and projective rules
-
-
-def _suspension_image(db: Database, m: int, n: int, trace: Trace | None) -> Subgroup:
-    """Image of the suspension pi_{m-1}(S^{n-1}) -> pi_m(S^n)."""
-    return db.memo(("suspension_image", m, n), trace,
-                   lambda t: db.suspension(m - 1, n - 1, t).image())
+# the suspension test, shared by the sphere and projective rules
 
 
 def _suspension_quotient(db: Database, m: int, n: int, trace: Trace | None) -> GroupHom:
-    """Projection of pi_m(S^n) onto its quotient by the suspension image:
-    two classes differ by a suspension exactly when their images agree."""
+    """Projection of pi_m(S^n) onto its quotient by the image of the
+    suspension pi_{m-1}(S^{n-1}) -> pi_m(S^n): two classes differ by a
+    suspension exactly when their projections agree."""
     def build(t):
-        image = _suspension_image(db, m, n, t)
+        image = db.suspension(m - 1, n - 1, t).image()
         return image.ambient.quotient_by(image)[1]
 
     return db.memo(("suspension_quotient", m, n), trace, build)
@@ -169,8 +164,8 @@ class SphereClassifier:
         if z.group != self.group:
             raise UsageError(f"class does not live in pi_{self.m}(S^{self.n})")
 
-    def suspension_image(self) -> Subgroup:
-        return _suspension_image(self.db, self.m, self.n, self.trace)
+    def suspension_quotient(self) -> GroupHom:
+        return _suspension_quotient(self.db, self.m, self.n, self.trace)
 
     def is_loose(self, z1: GroupElement, z2: GroupElement) -> bool:
         self._check(z1)
@@ -186,8 +181,8 @@ class SphereClassifier:
             k = abs(z1.coords[0] - z2.coords[0])
             Trace.note(self.trace, "circle-degree-count")
             return _verdict(k, k, k, "circle-degrees")
-        diff = z1 - self.antipodal(z2)
-        if self.suspension_image().contains(diff):
+        q = self.suspension_quotient()
+        if q(z1) == q(self.antipodal(z2)):
             Trace.note(self.trace, "sphere-suspended-difference")
             return _verdict(1, 1, 1, "sphere-suspended-difference")
         Trace.note(self.trace, "sphere-unsuspended-difference")
@@ -223,10 +218,11 @@ class ProjectiveClassifier:
     antipodal data lazily so that cases whose hypotheses already fail do
     not demand unavailable records.  Only the lift components of the
     classes matter; the summand missing a point plays no role in
-    looseness questions.  The facts the cases read about a single lift
-    class (kernel memberships, antipodal image, suspension coset) are
-    computed once per class, so a sweep over all pairs does linear work
-    in lattice solving.
+    looseness questions.  One cache holds the instance data (under
+    ``"A"``, ``"ker"``, ``"ker_susp"`` and ``"coset"``) and the facts the
+    cases read about a single lift class (under ``(fact, z.coords)``:
+    kernel memberships, antipodal image, suspension coset), so a sweep
+    over all pairs does linear work in lattice solving.
     """
 
     def __init__(self, db: Database, k: str, m: int, n_prime: int,
@@ -243,65 +239,54 @@ class ProjectiveClassifier:
         self.trace = trace
         self.pg = pi_projective(db, k, m, n_prime, trace)
         self.space = self.pg.space
-        self._antipodal: GroupHom | None = None
-        self._ker: Subgroup | None = None
-        self._ker_susp: Subgroup | None = None
-        self._susp_quotient: GroupHom | None = None
-        self._facts: dict[tuple, object] = {}
+        self._cache: dict = {}
+
+    def _once(self, key, compute):
+        """``compute()`` on the first call for ``key``; a compute that
+        raises stores nothing."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     # lazy instance data ----------------------------------------------------
 
     def antipodal(self) -> GroupHom:
-        if self._antipodal is None:
-            n_lift = self.space.n + self.space.d - 1
-            self._antipodal = self.db.antipodal(self.m, n_lift, self.trace)
-        return self._antipodal
+        n_lift = self.space.n + self.space.d - 1
+        return self._once("A", lambda: self.db.antipodal(self.m, n_lift, self.trace))
 
     def kernel(self) -> Subgroup:
-        if self._ker is None:
-            self._ker = boundary_kernel(
-                self.db, self.k, self.m, self.n_prime, self.trace
-            )
-        return self._ker
+        return self._once("ker", lambda: boundary_kernel(
+            self.db, self.k, self.m, self.n_prime, self.trace
+        ))
 
     def suspended_kernel(self) -> Subgroup:
-        if self._ker_susp is None:
-            self._ker_susp = suspended_boundary_kernel(
-                self.db, self.k, self.m, self.n_prime, self.trace
-            )
-        return self._ker_susp
+        return self._once("ker_susp", lambda: suspended_boundary_kernel(
+            self.db, self.k, self.m, self.n_prime, self.trace
+        ))
 
     def suspension_quotient(self) -> GroupHom:
-        if self._susp_quotient is None:
-            self._susp_quotient = _suspension_quotient(
-                self.db, self.m, self.space.n, self.trace
-            )
-        return self._susp_quotient
+        return self._once("coset", lambda: _suspension_quotient(
+            self.db, self.m, self.space.n, self.trace
+        ))
 
     # per-class facts ----------------------------------------------------------
 
-    def _per_class(self, fact: str, z: GroupElement, compute):
-        key = (fact, z.coords)
-        if key not in self._facts:
-            self._facts[key] = compute()
-        return self._facts[key]
-
     def in_kernel(self, z: GroupElement) -> bool:
-        return self._per_class("ker", z, lambda: self.kernel().contains(z))
+        return self._once(("ker", z.coords), lambda: self.kernel().contains(z))
 
     def in_suspended_kernel(self, z: GroupElement) -> bool:
-        return self._per_class(
-            "ker_susp", z, lambda: self.suspended_kernel().contains(z)
+        return self._once(
+            ("ker_susp", z.coords), lambda: self.suspended_kernel().contains(z)
         )
 
     def antipode(self, z: GroupElement) -> GroupElement:
-        return self._per_class("A", z, lambda: self.antipodal()(z))
+        return self._once(("A", z.coords), lambda: self.antipodal()(z))
 
     def suspension_coset(self, z: GroupElement) -> tuple[int, ...]:
         """Label of ``z`` modulo the suspension image: ``z1 - z2`` is a
         suspension exactly when the labels agree."""
-        return self._per_class(
-            "coset", z, lambda: self.suspension_quotient()(z).coords
+        return self._once(
+            ("coset", z.coords), lambda: self.suspension_quotient()(z).coords
         )
 
     # class plumbing -----------------------------------------------------------
@@ -312,7 +297,9 @@ class ProjectiveClassifier:
                 raise UsageError("class belongs to a different space")
             return x.lift_component
         if isinstance(x, GroupElement):
-            return self.pg.split(x).lift_component
+            if x.group != self.pg.total:
+                raise UsageError("element does not live in pi_m of this space")
+            return self.pg.lift_projection(x)
         raise UsageError("expected a GroupElement of pi_m or a HomotopyClass")
 
     def freely_homotopic(self, z1: GroupElement, z2: GroupElement) -> bool:

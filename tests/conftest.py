@@ -46,10 +46,10 @@ def covered_sphere_instances(db):
                 continue
             try:
                 cls = SphereClassifier(db, m, n)
-                # the suspension image is consulted only off the loose
+                # the suspension quotient is consulted only off the loose
                 # and circle branches, which need n >= 2 and classes
                 if n >= 2 and not group.is_trivial:
-                    cls.suspension_image()
+                    cls.suspension_quotient()
             except GapError:
                 continue
             yield m, n, group, cls
