@@ -52,10 +52,6 @@ class Sphere:
         return self.n
 
     @property
-    def compact(self) -> bool:
-        return True
-
-    @property
     def euler_characteristic_zero(self) -> bool:
         return self.n % 2 == 1
 
@@ -76,10 +72,6 @@ class Grassmannian2:
     @property
     def dimension(self) -> int:
         return 2 * (self.r - 2)
-
-    @property
-    def compact(self) -> bool:
-        return True
 
     @property
     def euler_characteristic_zero(self) -> bool:
@@ -484,15 +476,13 @@ class ShortcutAnswer:
     detail: str
 
 
-def full_filtration_shortcut(m_dim: int, m_compact: bool, space: Space) -> ShortcutAnswer:
-    """Sufficient conditions under which every filtration stage is the
-    whole homotopy set, decided from descriptor data alone.
+def full_filtration_shortcut(m_dim: int, space: Space) -> ShortcutAnswer:
+    """Sufficient conditions under which every filtration stage of maps
+    from the sphere S^m_dim is the whole homotopy set, decided from
+    descriptor data alone.
 
     ``applies = False`` means "no shortcut", not "not full".
     """
-    if m_compact and not space.compact:
-        return ShortcutAnswer(True, "noncompact-target",
-                              "compact source, noncompact target")
     if space.euler_characteristic_zero:
         return ShortcutAnswer(True, "vector-field",
                               "target admits a nowhere-zero vector field")

@@ -58,10 +58,6 @@ class ProjectiveSpace:
         return self.n
 
     @property
-    def compact(self) -> bool:
-        return True
-
-    @property
     def euler_characteristic_zero(self) -> bool:
         # chi(RP(odd)) = 0; chi(RP(even)) = 1; chi(CP(n')) = chi(HP(n')) = n'+1
         return self.k == "R" and self.n_prime % 2 == 1

@@ -334,19 +334,19 @@ def test_circle_target_filtration_full(db):
 
 
 def test_shortcut_smaller_dimension():
-    ans = full_filtration_shortcut(3, True, Sphere(6))
+    ans = full_filtration_shortcut(3, Sphere(6))
     assert ans.applies and ans.clause == "smaller-dimension"
 
 
 def test_shortcut_vector_field():
-    ans = full_filtration_shortcut(9, True, Sphere(7))
+    ans = full_filtration_shortcut(9, Sphere(7))
     assert ans.applies and ans.clause == "vector-field"
-    ans2 = full_filtration_shortcut(9, True, ProjectiveSpace("R", 5))
+    ans2 = full_filtration_shortcut(9, ProjectiveSpace("R", 5))
     assert ans2.applies and ans2.clause == "vector-field"
 
 
 def test_shortcut_none_applies():
-    ans = full_filtration_shortcut(9, True, ProjectiveSpace("R", 4))
+    ans = full_filtration_shortcut(9, ProjectiveSpace("R", 4))
     assert not ans.applies
 
 
