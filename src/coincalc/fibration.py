@@ -263,7 +263,7 @@ def _frame_projection(db: Database, k: str, m: int, n_prime: int) -> GroupHom | 
         return rec
     if k == "R" and (n_prime + 1) % 2 == 0 and m >= 3:
         # split Stiefel manifold: projection kills the fiber summand
-        return db.stiefel_splitting(m, n_prime + 1).base_projection
+        return db.stiefel_splitting(m, n_prime + 1).projections[1]
     return None
 
 
@@ -299,12 +299,8 @@ def exactness_report(db: Database) -> list[ExactnessCheck]:
     """
     checks = []
     rng = db.range
-    for n_prime in range(2, rng.n_max + 1):
-        if n_prime % 2 == 0:
-            continue
-        lo = max(3, n_prime)
-        hi = min(n_prime + rng.stem_max, (n_prime - 1) + rng.stem_max)
-        for m in range(lo, hi + 1):
+    for n_prime in range(3, rng.n_max + 1, 2):
+        for m in range(n_prime, n_prime + rng.stem_max):
             checks.append(validate_exactness(db, "R", m, n_prime))
     for rec in db.hom_records():
         if rec.kind == "stiefel_projection":

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .abelian import FgAbGroup, GroupHom, compose_homs
+from .abelian import DirectSum, FgAbGroup, GroupHom, compose_homs
 from .errors import DataError, GapError, UsageError
 from .trace import Trace
 
@@ -73,29 +73,12 @@ class DatabaseRange:
     n_max: int
     stem_max: int
 
-    def covers(self, m: int, n: int) -> bool:
-        return self.n_min <= n <= self.n_max and n <= m <= n + self.stem_max
-
-
-@dataclass(frozen=True)
-class StiefelSplitting:
-    """Split description of pi_m of the real Stiefel manifold V_{r,2}.
-
-    For even ``r`` the frame bundle ``S^{r-2} -> V_{r,2} -> S^{r-1}``
-    has a section (complex scalar multiplication), so the homotopy
-    sequence splits.  ``base_projection`` is induced by sending a frame
-    to its first vector.
-    """
-
-    group: FgAbGroup
-    base_projection: GroupHom
-
 
 class Database:
     """Immutable lookup service; raises ``GapError`` for uncovered cells.
 
     Derived instance data (projective splittings, boundary kernels,
-    suspension images, antipodal maps, filtration stages) is built once
+    suspension quotients, antipodal maps, filtration stages) is built once
     per database through :meth:`memo`.
     """
 
@@ -243,20 +226,21 @@ class Database:
     def pi_stiefel_real(self, m: int, r: int) -> FgAbGroup:
         return self.stiefel_splitting(m, r).group
 
-    def stiefel_splitting(self, m: int, r: int) -> StiefelSplitting:
+    def stiefel_splitting(self, m: int, r: int) -> DirectSum:
+        """pi_m of the real Stiefel manifold V_{r,2} as fiber + base.
+
+        For even ``r`` the frame bundle ``S^{r-2} -> V_{r,2} -> S^{r-1}``
+        has a section (complex scalar multiplication), so the homotopy
+        sequence splits.  ``projections[1]`` is induced by sending a
+        frame to its first vector.
+        """
         if r < 4 or r % 2:
             raise UsageError(
                 "pi_m(V_{r,2}(R)) is only computed for even r >= 4"
             )
         if m < 3:
             raise UsageError("pi_m(V_{r,2}(R)) is only computed for m >= 3")
-        fiber = self.pi_sphere(m, r - 2)
-        base = self.pi_sphere(m, r - 1)
-        ds = fiber.direct_sum(base)
-        return StiefelSplitting(
-            group=ds.group,
-            base_projection=ds.projections[1],
-        )
+        return self.pi_sphere(m, r - 2).direct_sum(self.pi_sphere(m, r - 1))
 
 
 # ---------------------------------------------------------------------------
