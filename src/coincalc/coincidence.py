@@ -153,7 +153,7 @@ class SphereClassifier:
         self.antipodal = db.antipodal(m, n, trace)
 
     def _check(self, z: GroupElement):
-        if z.group != self.group:
+        if not isinstance(z, GroupElement) or z.group != self.group:
             raise UsageError(f"class does not live in pi_{self.m}(S^{self.n})")
 
     def suspension_quotient(self) -> GroupHom:

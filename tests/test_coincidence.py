@@ -213,6 +213,16 @@ def test_loose_grassmann(db):
         loose_pair(db, Grassmannian2(5), 9)
 
 
+def test_sphere_pair_without_classes_is_a_usage_error(db):
+    z = db.pi_sphere(7, 4).zero()
+    for ask in (lambda: loose_pair(db, Sphere(4), 7),
+                lambda: classify_sphere_pair(db, 7, 4, None, None),
+                lambda: classify_sphere_pair(db, 7, 4, z, (0, 0))):
+        with pytest.raises(UsageError) as exc:
+            ask()
+        assert str(exc.value) == "class does not live in pi_7(S^4)"
+
+
 def test_looseness_closed_under_addition(db):
     # the loose set is a subgroup-like graph: componentwise sums of
     # loose pairs are loose
