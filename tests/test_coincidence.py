@@ -27,6 +27,7 @@ from coincalc.coincidence import (
 )
 from coincalc.errors import GapError, UsageError
 from coincalc.fibration import ProjectiveSpace
+from coincalc.trace import Trace
 
 rng = random.Random(0xC01C)
 
@@ -399,6 +400,14 @@ def test_transfer_projective_identity_on_quotient(db):
     t = transfer_isomorphism(db, ProjectiveSpace("R", 6), 9)
     assert t.domain == FgAbGroup(0, (2,))
     assert t == t.domain.identity_hom()
+
+
+def test_transfer_even_rank_grassmannian(db):
+    trace = Trace()
+    t = transfer_isomorphism(db, Grassmannian2(6), 5, trace)
+    assert t.domain.is_trivial
+    assert t == t.domain.identity_hom()
+    assert trace.entries == ["transfer-grassmann-trivial"]
 
 
 def test_transfer_is_involution_where_defined(db):

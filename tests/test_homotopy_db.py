@@ -234,16 +234,33 @@ def test_antipodal_involution_fault(tmp_path, db_doc):
 
 
 def test_stable_suspension_record_consistency(tmp_path, db_doc):
+    # [[4]] is a homomorphism C12 -> C24, so the parse passes and the
+    # consistency check is what rejects it
     db_doc["homs"].append(
         {"kind": "stable_suspension", "m": 6, "n": 3,
-         "matrix": [[5]], "provenance": "bad synthetic record"}
+         "matrix": [[4]], "provenance": "bad synthetic record"}
     )
-    with pytest.raises(DataError, match=r"stable_suspension \(6,3\)"):
+    with pytest.raises(DataError, match=r"stable_suspension \(6,3\): disagrees "
+                                        r"with the composite"):
         load_database(write_db(tmp_path, db_doc))
     # and the correct value loads fine
     db_doc["homs"][-1]["matrix"] = [[2]]
     db2 = load_database(write_db(tmp_path, db_doc))
     assert db2.stable_suspension(6, 3).matrix == ((2,),)
+
+
+def test_antipodal_record_in_stable_range(tmp_path, db_doc):
+    # pi_9(S^6) = C24 is stable, where the antipodal map acts as -1
+    db_doc["homs"].append(
+        {"kind": "antipodal", "m": 9, "n": 6,
+         "matrix": [[1]], "provenance": "bad synthetic record"}
+    )
+    with pytest.raises(DataError, match=r"antipodal \(9,6\): disagrees with "
+                                        r"the stable-range action"):
+        load_database(write_db(tmp_path, db_doc))
+    # and -1 loads fine
+    db_doc["homs"][-1]["matrix"] = [[23]]
+    load_database(write_db(tmp_path, db_doc))
 
 
 def test_illdefined_hom_record_rejected(tmp_path, db_doc):
