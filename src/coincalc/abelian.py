@@ -19,23 +19,24 @@ Conventions used throughout:
 
 All lattice solving goes through one primitive: :func:`_lattice` takes
 the Smith normal form of a list of columns, and the resulting
-:class:`_Snf` answers the three questions asked of a lattice, namely
+:class:`_Snf` answers the four questions asked of a lattice, namely
 whether a vector lies in it (:meth:`_Snf.coefficients`), which integer
-combination of the columns gives it (:meth:`_Snf.solve`), and which
-combinations give zero (:meth:`_Snf.kernel_basis`).  Kernels,
-inverses, membership, subgroup coordinates and intersections are each
-one of these calls, and every canonical form (quotients, direct sums,
-subgroups) comes from :func:`_canonicalize_presentation`.
+combination of the columns gives it (:meth:`_Snf.solve`), which
+combinations give zero (:meth:`_Snf.kernel_basis`), and whether it is
+everything (:meth:`_Snf.spans_everything`).  Kernels, inverses,
+membership, surjectivity, subgroup coordinates and intersections are
+each one of these calls, and every canonical form (quotients, direct
+sums, subgroups) comes from :func:`_canonicalize_presentation`.
 
-All values are immutable after construction and safe to share between
-threads.
+All values are immutable after construction (:class:`Record`) and safe
+to share between threads.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import gcd, inf, lcm, prod
+from operator import attrgetter
 
 from .errors import UsageError
 
@@ -43,6 +44,53 @@ Matrix = tuple[tuple[int, ...], ...]
 
 #: Guard for the element-enumeration oracles; keeps them in test territory.
 ENUMERATION_CAP = 10**6
+
+
+# ---------------------------------------------------------------------------
+# immutable values
+
+
+class Record:
+    """Base of the package's immutable values.
+
+    A subclass names its fields in ``__slots__`` and sets each once in
+    ``__init__`` with ``object.__setattr__``.  Equality and hash are
+    field-wise over the ``compare`` class keyword (all fields by
+    default), and two records are equal only when they have the same
+    type, so ``Sphere(4) != Grassmannian2(4)``.  Setting or deleting an
+    attribute raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compare=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*(compare or cls.__slots__))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which takes the fields
+        # in __slots__ order; restoring slots one by one would hit __setattr__
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
 
 # ---------------------------------------------------------------------------
@@ -74,17 +122,20 @@ def _mat_vec(a, v) -> list[int]:
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
 
-@dataclass(frozen=True)
-class _Snf:
+class _Snf(Record):
     """Transform data for ``diag = u * a * v``; ``uinv`` inverts ``u``."""
 
-    u: Matrix
-    uinv: Matrix
-    v: Matrix
-    diag: tuple[int, ...]
-    rank: int
-    nrows: int
-    ncols: int
+    __slots__ = ("u", "uinv", "v", "diag", "rank", "nrows", "ncols")
+
+    def __init__(self, u: Matrix, uinv: Matrix, v: Matrix, diag: tuple[int, ...],
+                 rank: int, nrows: int, ncols: int):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "uinv", uinv)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "nrows", nrows)
+        object.__setattr__(self, "ncols", ncols)
 
     def coefficients(self, b) -> list[int] | None:
         """``w`` with ``(u * b)[i] = diag[i] * w[i]`` for ``i < rank``, or
@@ -109,6 +160,10 @@ class _Snf:
     def kernel_basis(self) -> list[list[int]]:
         """Basis of the integer kernel of ``a``: the last columns of ``v``."""
         return [[row[j] for row in self.v] for j in range(self.rank, self.ncols)]
+
+    def spans_everything(self) -> bool:
+        """Whether the columns of ``a`` span all of ``Z^nrows``."""
+        return self.rank == self.nrows and all(abs(d) == 1 for d in self.diag)
 
     def d_matrix(self) -> Matrix:
         rows = []
@@ -243,35 +298,36 @@ def _lattice(cols, nrows: int) -> _Snf:
 # groups
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(Record, compare=("free_rank", "torsion")):
     """A finitely generated abelian group in invariant-factor form.
 
     ``labels`` name the generators (free generators first); they are
     presentation metadata and do not take part in equality.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
+    __slots__ = ("free_rank", "torsion", "labels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(t) for t in self.torsion))
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = (),
+                 labels: tuple[str, ...] | None = None):
+        torsion = tuple(int(t) for t in torsion)
+        if free_rank < 0:
             raise UsageError("free rank must be nonnegative")
-        for t in self.torsion:
+        for t in torsion:
             if t < 2:
                 raise UsageError(f"torsion coefficient {t} must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise UsageError(
-                    f"torsion coefficients {list(self.torsion)} violate the "
+                    f"torsion coefficients {list(torsion)} violate the "
                     "divisibility chain"
                 )
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != self.ngens:
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != free_rank + len(torsion):
                 raise UsageError("label count must equal generator count")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "labels", labels)
 
     # -- structure ---------------------------------------------------------
 
@@ -410,11 +466,14 @@ class FgAbGroup:
         return self.describe()
 
 
-@dataclass(frozen=True)
-class DirectSum:
-    group: FgAbGroup
-    injections: tuple["GroupHom", "GroupHom"]
-    projections: tuple["GroupHom", "GroupHom"]
+class DirectSum(Record):
+    __slots__ = ("group", "injections", "projections")
+
+    def __init__(self, group: FgAbGroup, injections: tuple["GroupHom", "GroupHom"],
+                 projections: tuple["GroupHom", "GroupHom"]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "injections", injections)
+        object.__setattr__(self, "projections", projections)
 
 
 def _canonicalize_presentation(ngens: int, relation_cols):
@@ -441,10 +500,14 @@ def _canonicalize_presentation(ngens: int, relation_cols):
 # elements
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    group: FgAbGroup
-    coords: tuple[int, ...]
+class GroupElement(Record):
+    __slots__ = ("group", "coords")
+
+    def __init__(self, group: FgAbGroup, coords: tuple[int, ...]):
+        # bench/tracer.py counts element builds by patching __post_init__
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coords", coords)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "coords", self.group.reduce(self.coords))
@@ -506,8 +569,7 @@ class GroupElement:
 # homomorphisms
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(Record):
     """Integer-matrix homomorphism; validated at construction.
 
     The matrix has one row per codomain generator, one column per domain
@@ -517,37 +579,34 @@ class GroupHom:
     makes equality a plain matrix comparison.
     """
 
-    domain: FgAbGroup
-    codomain: FgAbGroup
-    matrix: Matrix
+    __slots__ = ("domain", "codomain", "matrix")
 
-    def __post_init__(self):
-        mat = [list(map(int, row)) for row in self.matrix]
-        if len(mat) != self.codomain.ngens or any(
-            len(r) != self.domain.ngens for r in mat
-        ):
-            raise UsageError(
-                f"matrix must be {self.codomain.ngens} x {self.domain.ngens}"
-            )
-        fr = self.codomain.free_rank
-        for i, t in enumerate(self.codomain.torsion):
+    def __init__(self, domain: FgAbGroup, codomain: FgAbGroup, matrix: Matrix):
+        mat = [list(map(int, row)) for row in matrix]
+        if len(mat) != codomain.ngens or any(len(r) != domain.ngens for r in mat):
+            raise UsageError(f"matrix must be {codomain.ngens} x {domain.ngens}")
+        fr = codomain.free_rank
+        for i, t in enumerate(codomain.torsion):
             row = mat[fr + i]
             mat[fr + i] = [x % t for x in row]
-        object.__setattr__(self, "matrix", _freeze(mat))
-        for j, t in enumerate(self.domain.torsion):
-            col = j + self.domain.free_rank
-            for i in range(self.codomain.ngens):
-                v = t * self.matrix[i][col]
+        matrix = _freeze(mat)
+        for j, t in enumerate(domain.torsion):
+            col = j + domain.free_rank
+            for i in range(codomain.ngens):
+                v = t * matrix[i][col]
                 if i < fr:
                     ok = v == 0
                 else:
-                    ok = v % self.codomain.torsion[i - fr] == 0
+                    ok = v % codomain.torsion[i - fr] == 0
                 if not ok:
                     raise UsageError(
                         "matrix does not define a homomorphism: generator of "
                         f"order {t} maps to an element whose order does not "
                         f"divide {t}"
                     )
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "matrix", matrix)
 
     def __call__(self, elem: GroupElement) -> GroupElement:
         if elem.group != self.domain:
@@ -589,11 +648,16 @@ class GroupHom:
         return Subgroup(self.codomain, tuple(gens))
 
     def is_surjective(self) -> bool:
-        img = self.image()
-        return all(img.contains(g) for g in self.codomain.generators())
+        return self._solver().spans_everything()
 
     def is_bijective(self) -> bool:
-        return self.is_surjective() and self.kernel().is_trivial
+        """Surjective with trivial kernel, both read off one lattice: every
+        kernel basis vector must restrict to zero in the domain."""
+        solver = self._solver()
+        n = self.domain.ngens
+        return solver.spans_everything() and not any(
+            any(self.domain.reduce(x[:n])) for x in solver.kernel_basis()
+        )
 
     def inverse(self) -> "GroupHom":
         """Inverse of an isomorphism; raises ``UsageError`` otherwise."""

@@ -19,10 +19,9 @@ propagates instead of a guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
 
-from .abelian import FgAbGroup, GroupElement, GroupHom, Subgroup
+from .abelian import FgAbGroup, GroupElement, GroupHom, Record, Subgroup
 from .errors import GapError, UsageError
 from .fibration import (
     HomotopyClass,
@@ -39,13 +38,13 @@ from .trace import Trace
 # space descriptors
 
 
-@dataclass(frozen=True)
-class Sphere:
-    n: int
+class Sphere(Record):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise UsageError("sphere dimension must be >= 1")
+        object.__setattr__(self, "n", n)
 
     @property
     def dimension(self) -> int:
@@ -59,15 +58,15 @@ class Sphere:
         return f"S^{self.n}"
 
 
-@dataclass(frozen=True)
-class Grassmannian2:
+class Grassmannian2(Record):
     """Grassmann manifold of 2-planes in R^r."""
 
-    r: int
+    __slots__ = ("r",)
 
-    def __post_init__(self):
-        if self.r < 4:
+    def __init__(self, r: int):
+        if r < 4:
             raise UsageError("G_{r,2} is supported for r >= 4")
+        object.__setattr__(self, "r", r)
 
     @property
     def dimension(self) -> int:
@@ -89,28 +88,27 @@ Space = Sphere | ProjectiveSpace | Grassmannian2
 # verdicts
 
 
-@dataclass(frozen=True)
-class CoincidenceVerdict:
+class CoincidenceVerdict(Record):
     """Nielsen number and minimum numbers for one pair of classes.
 
     ``mc`` is ``math.inf`` when no homotopy achieves finitely many
     coincidence points.
     """
 
-    loose: bool
-    nielsen: int
-    mcc: int
-    mc: int | float
-    rule: str
+    __slots__ = ("loose", "nielsen", "mcc", "mc", "rule")
 
-    def __post_init__(self):
-        if not 0 <= self.nielsen <= self.mcc <= self.mc:
+    def __init__(self, loose: bool, nielsen: int, mcc: int, mc: int | float, rule: str):
+        if not 0 <= nielsen <= mcc <= mc:
             raise UsageError(
-                f"verdict violates N# <= MCC <= MC: "
-                f"({self.nielsen}, {self.mcc}, {self.mc})"
+                f"verdict violates N# <= MCC <= MC: ({nielsen}, {mcc}, {mc})"
             )
-        if self.loose != (self.mcc == 0) or (self.mcc == 0) != (self.mc == 0):
+        if loose != (mcc == 0) or (mcc == 0) != (mc == 0):
             raise UsageError("loose must mean MCC = MC = 0")
+        object.__setattr__(self, "loose", loose)
+        object.__setattr__(self, "nielsen", nielsen)
+        object.__setattr__(self, "mcc", mcc)
+        object.__setattr__(self, "mc", mc)
+        object.__setattr__(self, "rule", rule)
 
     def numbers(self) -> tuple[int, int, int | float]:
         return (self.nielsen, self.mcc, self.mc)
@@ -159,13 +157,19 @@ class SphereClassifier:
     def suspension_quotient(self) -> GroupHom:
         return _suspension_quotient(self.db, self.m, self.n, self.trace)
 
-    def is_loose(self, z1: GroupElement, z2: GroupElement) -> bool:
+    def _loose_and_antipode(self, z1: GroupElement, z2: GroupElement):
+        """Whether the pair is loose, i.e. ``z1 = A(z2)``, and ``A(z2)``."""
         self._check(z1)
         self._check(z2)
-        return z1 == self.antipodal(z2)
+        antipode = self.antipodal(z2)
+        return z1 == antipode, antipode
+
+    def is_loose(self, z1: GroupElement, z2: GroupElement) -> bool:
+        return self._loose_and_antipode(z1, z2)[0]
 
     def classify(self, z1: GroupElement, z2: GroupElement) -> CoincidenceVerdict:
-        if self.is_loose(z1, z2):
+        loose, antipode = self._loose_and_antipode(z1, z2)
+        if loose:
             Trace.note(self.trace, "sphere-antipodal-match")
             return _verdict(0, 0, 0, "sphere-loose")
         if self.m == 1 and self.n == 1:
@@ -174,7 +178,7 @@ class SphereClassifier:
             Trace.note(self.trace, "circle-degree-count")
             return _verdict(k, k, k, "circle-degrees")
         q = self.suspension_quotient()
-        if q(z1) == q(self.antipodal(z2)):
+        if q(z1) == q(antipode):
             Trace.note(self.trace, "sphere-suspended-difference")
             return _verdict(1, 1, 1, "sphere-suspended-difference")
         Trace.note(self.trace, "sphere-unsuspended-difference")
@@ -438,23 +442,27 @@ def covered_projective_instances(db: Database, max_order: int = 64):
 # answers shared by all families
 
 
-@dataclass(frozen=True)
-class LooseAnswer:
-    loose: bool
-    rule: str
+class LooseAnswer(Record):
+    __slots__ = ("loose", "rule")
+
+    def __init__(self, loose: bool, rule: str):
+        object.__setattr__(self, "loose", loose)
+        object.__setattr__(self, "rule", rule)
 
 
-@dataclass(frozen=True)
-class FiltrationResult:
+class FiltrationResult(Record):
     """One stage of the coincidence filtration of pi_m(target).
 
     ``stabilized_at`` is the stage from which the chain is provably
     constant for this family of targets.
     """
 
-    q: int | float
-    subgroup: Subgroup
-    stabilized_at: int
+    __slots__ = ("q", "subgroup", "stabilized_at")
+
+    def __init__(self, q: int | float, subgroup: Subgroup, stabilized_at: int):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "stabilized_at", stabilized_at)
 
 
 def _check_q(q):
@@ -469,11 +477,13 @@ def _check_q(q):
 # shortcut criteria for a full filtration
 
 
-@dataclass(frozen=True)
-class ShortcutAnswer:
-    applies: bool
-    clause: str | None
-    detail: str
+class ShortcutAnswer(Record):
+    __slots__ = ("applies", "clause", "detail")
+
+    def __init__(self, applies: bool, clause: str | None, detail: str):
+        object.__setattr__(self, "applies", applies)
+        object.__setattr__(self, "clause", clause)
+        object.__setattr__(self, "detail", detail)
 
 
 def full_filtration_shortcut(m_dim: int, space: Space) -> ShortcutAnswer:

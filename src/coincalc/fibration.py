@@ -25,25 +25,23 @@ record or is reported as a gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .abelian import FgAbGroup, GroupElement, GroupHom, Subgroup
+from .abelian import FgAbGroup, GroupElement, GroupHom, Record, Subgroup
 from .errors import GapError, UsageError
 from .homotopy_db import Database, field_dim
 from .trace import Trace
 
 
-@dataclass(frozen=True)
-class ProjectiveSpace:
+class ProjectiveSpace(Record):
     """Descriptor for KP(n'); real dimension is d * n'."""
 
-    k: str
-    n_prime: int
+    __slots__ = ("k", "n_prime")
 
-    def __post_init__(self):
-        field_dim(self.k)
-        if self.n_prime < 1:
+    def __init__(self, k: str, n_prime: int):
+        field_dim(k)
+        if n_prime < 1:
             raise UsageError("projective space needs n' >= 1")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n_prime", n_prime)
 
     @property
     def d(self) -> int:
@@ -66,23 +64,31 @@ class ProjectiveSpace:
         return f"{self.k}P({self.n_prime})"
 
 
-@dataclass(frozen=True)
-class ProjectiveHomotopyGroup:
+class ProjectiveHomotopyGroup(Record):
     """pi_m(KP(n')) with its two labelled summands.
 
-    ``lift_injection`` is induced by the bundle projection p and is
-    injective; ``c_injection`` embeds the classes that miss a point.
+    ``sphere_group`` is pi_m(S^{n+d-1}) and ``c_group`` is
+    pi_{m-1}(S^{d-1}).  ``lift_injection`` is induced by the bundle
+    projection p and is injective; ``c_injection`` embeds the classes
+    that miss a point.
     """
 
-    space: ProjectiveSpace
-    m: int
-    total: FgAbGroup
-    sphere_group: FgAbGroup  # pi_m(S^{n+d-1})
-    c_group: FgAbGroup  # pi_{m-1}(S^{d-1})
-    lift_injection: GroupHom
-    c_injection: GroupHom
-    lift_projection: GroupHom
-    c_projection: GroupHom
+    __slots__ = ("space", "m", "total", "sphere_group", "c_group", "lift_injection",
+                 "c_injection", "lift_projection", "c_projection")
+
+    def __init__(self, space: ProjectiveSpace, m: int, total: FgAbGroup,
+                 sphere_group: FgAbGroup, c_group: FgAbGroup, lift_injection: GroupHom,
+                 c_injection: GroupHom, lift_projection: GroupHom,
+                 c_projection: GroupHom):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "sphere_group", sphere_group)
+        object.__setattr__(self, "c_group", c_group)
+        object.__setattr__(self, "lift_injection", lift_injection)
+        object.__setattr__(self, "c_injection", c_injection)
+        object.__setattr__(self, "lift_projection", lift_projection)
+        object.__setattr__(self, "c_projection", c_projection)
 
     def split(self, elem: GroupElement) -> "HomotopyClass":
         if elem.group != self.total:
@@ -98,14 +104,17 @@ class ProjectiveHomotopyGroup:
         return self.c_injection.image()
 
 
-@dataclass(frozen=True)
-class HomotopyClass:
+class HomotopyClass(Record):
     """An element of pi_m(KP(n')) in split coordinates."""
 
-    space: ProjectiveSpace
-    m: int
-    lift_component: GroupElement
-    c_component: GroupElement
+    __slots__ = ("space", "m", "lift_component", "c_component")
+
+    def __init__(self, space: ProjectiveSpace, m: int, lift_component: GroupElement,
+                 c_component: GroupElement):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "lift_component", lift_component)
+        object.__setattr__(self, "c_component", c_component)
 
 
 def pi_projective(
@@ -244,13 +253,17 @@ def _suspended_boundary_kernel(
 # exactness validation
 
 
-@dataclass(frozen=True)
-class ExactnessCheck:
-    k: str
-    m: int
-    n_prime: int
-    status: str  # "ok" | "fail" | "unverifiable"
-    detail: str
+class ExactnessCheck(Record):
+    """``status`` is "ok", "fail" or "unverifiable"."""
+
+    __slots__ = ("k", "m", "n_prime", "status", "detail")
+
+    def __init__(self, k: str, m: int, n_prime: int, status: str, detail: str):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n_prime", n_prime)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "detail", detail)
 
     @property
     def instance(self) -> str:

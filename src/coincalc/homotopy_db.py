@@ -24,10 +24,9 @@ Analytic rules that never need a record:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
-from .abelian import DirectSum, FgAbGroup, GroupHom, compose_homs
+from .abelian import DirectSum, FgAbGroup, GroupHom, Record, compose_homs
 from .errors import DataError, GapError, UsageError
 from .trace import Trace
 
@@ -49,29 +48,39 @@ def field_dim(k: str) -> int:
     return FIELD_DIM[k]
 
 
-@dataclass(frozen=True)
-class SphereGroupRecord:
-    m: int
-    n: int
-    group: FgAbGroup
-    provenance: str
+class SphereGroupRecord(Record):
+    __slots__ = ("m", "n", "group", "provenance")
+
+    def __init__(self, m: int, n: int, group: FgAbGroup, provenance: str):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "provenance", provenance)
 
 
-@dataclass(frozen=True)
-class StructureHomRecord:
-    kind: str
-    field: str | None  # R/C/H for boundary and stiefel_projection records
-    m: int
-    n: int  # n for sphere-indexed kinds, n' for K-indexed kinds
-    hom: GroupHom
-    provenance: str
+class StructureHomRecord(Record):
+    """``field`` is R/C/H for boundary and stiefel_projection records;
+    ``n`` is n for sphere-indexed kinds and n' for K-indexed kinds."""
+
+    __slots__ = ("kind", "field", "m", "n", "hom", "provenance")
+
+    def __init__(self, kind: str, field: str | None, m: int, n: int, hom: GroupHom,
+                 provenance: str):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "hom", hom)
+        object.__setattr__(self, "provenance", provenance)
 
 
-@dataclass(frozen=True)
-class DatabaseRange:
-    n_min: int
-    n_max: int
-    stem_max: int
+class DatabaseRange(Record):
+    __slots__ = ("n_min", "n_max", "stem_max")
+
+    def __init__(self, n_min: int, n_max: int, stem_max: int):
+        object.__setattr__(self, "n_min", n_min)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "stem_max", stem_max)
 
 
 class Database:

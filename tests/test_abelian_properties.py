@@ -8,6 +8,7 @@ same properties with independent seeds.
 from __future__ import annotations
 
 import random
+from math import gcd
 
 from coincalc.abelian import FgAbGroup, GroupHom, smith_normal_form
 
@@ -38,7 +39,7 @@ def random_finite_group(r, max_order=200) -> FgAbGroup:
 def random_element_of_order_dividing(r, group: FgAbGroup, t: int):
     coords = []
     for tj in group.torsion:
-        step = tj // __import__("math").gcd(tj, t)
+        step = tj // gcd(tj, t)
         coords.append(step * r.randint(0, tj // step - 1))
     return group.element(coords)
 
@@ -124,3 +125,47 @@ def test_direct_sum_associative_on_invariants():
         right = a.direct_sum(b.direct_sum(c).group).group
         assert left == right
         assert left.order() == a.order() * b.order() * c.order()
+
+
+def test_surjective_and_bijective_against_closure():
+    outcomes = set()
+    for _ in range(120):
+        dom = random_finite_group(rng, max_order=48)
+        kind = rng.choice(("random", "automorphism", "quotient", "injection"))
+        if kind == "random":
+            h = random_hom(rng, dom, random_finite_group(rng, max_order=48))
+        elif kind == "automorphism":  # a unit multiple: bijective
+            exponent = dom.torsion[-1] if dom.torsion else 1
+            unit = rng.choice([k for k in range(1, 13) if gcd(k, exponent) == 1])
+            h = dom.multiplication_by(unit)
+        elif kind == "quotient":  # onto, one-to-one only for a trivial subgroup
+            gens = [dom.element([rng.randrange(t) for t in dom.torsion])
+                    for _ in range(rng.randint(0, 2))]
+            h = dom.quotient_by(dom.subgroup(gens))[1]
+        else:  # one-to-one, onto only for a trivial complement
+            h = dom.direct_sum(random_finite_group(rng, max_order=4)).injections[0]
+        image = closure(h.codomain, [h(g) for g in dom.generators()])
+        kernel = [x for x in closure(dom, dom.generators())
+                  if h(dom.element(x)).is_zero]
+        onto = len(image) == h.codomain.order()
+        one_to_one = len(kernel) == 1
+        assert h.is_surjective() == onto
+        assert h.is_bijective() == (onto and one_to_one)
+        outcomes.add((onto, one_to_one))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_surjective_and_bijective_with_free_summands():
+    z, c2 = FgAbGroup(1), FgAbGroup(0, (2,))
+    z_c2 = FgAbGroup(1, (2,))
+    cases = [
+        (GroupHom(z, z, [[2]]), False, False),
+        (GroupHom(z, z, [[-1]]), True, True),
+        (GroupHom(z, c2, [[1]]), True, False),
+        (GroupHom(z_c2, z, [[1, 0]]), True, False),
+        (GroupHom(z_c2, z_c2, [[1, 0], [1, 1]]), True, True),
+        (GroupHom(c2, z_c2, [[0], [1]]), False, False),
+    ]
+    for h, onto, bijective in cases:
+        assert h.is_surjective() == onto
+        assert h.is_bijective() == bijective

@@ -294,6 +294,14 @@ def _set_sphere_record(m, n, **fields):
     return mutate
 
 
+def _set_suspension_matrix(m, n, matrix):
+    def mutate(doc):
+        rec = next(r for r in doc["homs"]
+                   if (r["kind"], r["m"], r.get("n")) == ("suspension", m, n))
+        rec["matrix"] = matrix
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, match", [
     (lambda doc: doc.update(sphere_groups=[5]),
      r"sphere_groups\[0\]: record must be an object"),
@@ -319,6 +327,12 @@ def _set_sphere_record(m, n, **fields):
     (lambda doc: doc.update(format=1), "^format must be .*, got 1$"),
     (lambda doc: doc.update(format=None), "^format must be .*, got None$"),
     (lambda doc: doc.update(format=["coincalc-homotopy-db/1"]), "^format must be"),
+    # pi_8(S^5) = C24 -> pi_9(S^6) = C24: doubling is neither onto nor one-to-one
+    (_set_suspension_matrix(8, 5, [[2]]),
+     r"suspension \(8,5\): must be bijective in the stable range"),
+    # pi_5(S^3) = C2 -> pi_6(S^4) = C2 at the edge m = 2n-1
+    (_set_suspension_matrix(5, 3, [[0]]),
+     r"suspension \(5,3\): must be surjective at m = 2n-1"),
 ])
 def test_malformed_document_is_a_data_error(db_doc, mutate, match):
     mutate(db_doc)
