@@ -30,7 +30,7 @@ from .fibration import (
     pi_projective,
     suspended_boundary_kernel,
 )
-from .homotopy_db import FIELDS, Database, field_dim
+from .homotopy_db import FIELDS, TRIVIAL_GROUP, Database, field_dim
 from .trace import Trace
 
 
@@ -357,6 +357,52 @@ class ProjectiveClassifier:
         return {1: case1, 2: case2, 3: case3, 4: case4, 5: case5,
                 6: case6, 7: case7}
 
+    def exclusivity_failure(self) -> str | None:
+        """``None`` when every pair of lift classes matches exactly one of
+        the seven cases; otherwise the subgroup identity that fails.
+
+        Derivation from :meth:`_case_predicates`, writing ker and ker_susp
+        for the boundary kernel and the suspended one, A for the antipodal
+        map and q for the projection modulo the suspension image:
+
+        * K = C, H.  A pair with z1 != z2 is case 7 alone.  A pair with
+          z1 = z2 = z is case 1 (z in ker), case 2 (z in ker_susp, not in
+          ker) or case 6 (z not in ker_susp), and it is exactly one of
+          them for every z iff (i) ker <= ker_susp.
+        * K = R.  Write fh for "z1 = z2 or z1 = A z2".  Without fh,
+          exactly one of cases 4 and 5 holds (q(z1) = q(z2) or not).
+          With fh, case 4 does not hold and, given (i), the number of
+          cases that hold is [z2 in ker_susp] + [A z2 != z2] + [q(z1) != q(z2)].
+          The pairs (z, z) make it one iff (ii) ker_susp = ker(A - 1).
+          Then the pairs (A z, z) with A z != z make it one iff
+          q(A z) = q(z), i.e. (iii) im(A - 1) lies in the suspension
+          image; q(A z) - q(z) is a homomorphism in z, so the generators
+          decide it.
+
+        (i) holds on consistent data, because a class the boundary kills
+        stays killed after suspension.  For K = R the pair sweep
+        (:func:`exclusivity_violations`) cannot see a failure of (i) with
+        ker_susp <= ker = ker(A - 1), so the identities are the stricter
+        test.  Each is one subgroup comparison or one pass over the
+        generators; no element is enumerated.
+        """
+        ker_susp = self.suspended_kernel()
+        if not ker_susp.contains_subgroup(self.kernel()):
+            return "identity (i) fails: ker is not inside ker_susp"
+        if self.k != "R":
+            return None
+        a = self.antipodal()
+        group = a.domain
+        a_minus_one = GroupHom(group, group, [
+            [x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a.matrix)
+        ])
+        if a_minus_one.kernel() != ker_susp:
+            return "identity (ii) fails: ker_susp != ker(A - 1)"
+        q = self.suspension_quotient()
+        if any(q(a(g)) != q(g) for g in group.generators()):
+            return "identity (iii) fails: im(A - 1) is not inside the suspension image"
+        return None
+
     def classify(self, x1, x2) -> CoincidenceVerdict:
         z1 = self.lift_component(x1)
         z2 = self.lift_component(x2)
@@ -680,7 +726,7 @@ class _Grassmannians(TargetFamily):
     def transfer(self, db, space, m, trace):
         _even_rank(space, "transfer")
         Trace.note(trace, "transfer-grassmann-trivial")
-        return FgAbGroup.trivial().identity_hom()
+        return TRIVIAL_GROUP.identity_hom()
 
 
 _FAMILIES = {Sphere: _Spheres(), ProjectiveSpace: _ProjectiveSpaces(),

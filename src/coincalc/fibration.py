@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .abelian import FgAbGroup, GroupElement, GroupHom, Record, Subgroup
 from .errors import GapError, UsageError
-from .homotopy_db import Database, field_dim
+from .homotopy_db import TRIVIAL_GROUP, Database, field_dim
 from .trace import Trace
 
 
@@ -135,7 +135,7 @@ def _pi_projective(
     sphere = db.pi_sphere(m, space.n + d - 1)
     if d == 1:
         # S^0 is discrete: no nontrivial classes miss a point for m >= 2
-        c_group = FgAbGroup.trivial()
+        c_group = TRIVIAL_GROUP
     else:
         c_group = db.pi_sphere(m - 1, d - 1)
     Trace.note(trace, "projective-splitting")
@@ -200,7 +200,7 @@ def boundary_hom(
     dom = db.pi_sphere(m, n + d - 1)
     if n == 1:
         # the fiber is the discrete sphere S^0
-        cod = FgAbGroup.trivial()
+        cod = TRIVIAL_GROUP
     else:
         cod = db.pi_sphere(m - 1, n - 1)
     if dom.is_trivial or cod.is_trivial:

@@ -33,6 +33,10 @@ from .trace import Trace
 FIELDS = ("R", "C", "H")
 FIELD_DIM = {"R": 1, "C": 2, "H": 4}
 
+# the groups the analytic rules answer with, shared by every lookup
+TRIVIAL_GROUP = FgAbGroup.trivial()
+DEGREE_GROUP = FgAbGroup.free(1, ("i",))
+
 HOM_KINDS = (
     "suspension",
     "stable_suspension",
@@ -143,12 +147,12 @@ class Database:
         if m < 1 or n < 1:
             raise UsageError("sphere dimensions must be >= 1")
         if m < n:
-            return FgAbGroup.trivial()
+            return TRIVIAL_GROUP
         if m == n:
-            return FgAbGroup.free(1, ("i",))
+            return DEGREE_GROUP
         if n == 1:
             # contractible universal cover
-            return FgAbGroup.trivial()
+            return TRIVIAL_GROUP
         rec = self._spheres.get((m, n))
         if rec is None:
             raise GapError(f"pi_{m}(S^{n}) is not in the database")
@@ -156,7 +160,7 @@ class Database:
 
     def stable_stem(self, k: int) -> FgAbGroup:
         if k < 0:
-            return FgAbGroup.trivial()
+            return TRIVIAL_GROUP
         n = self._range.n_max
         if k > self._range.stem_max:
             raise GapError(f"stable stem {k} is beyond the database window")

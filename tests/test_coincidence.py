@@ -447,13 +447,70 @@ def test_odd_rank_grassmannian_is_one_gap(db, what):
 
 
 def test_exclusivity_over_all_covered_instances(db):
+    """The subgroup identities and the pair sweep both pass on every
+    covered instance of order <= 40, the ones ``validate-db`` checks."""
     from conftest import covered_projective_instances
 
     swept = 0
-    for k, m, n_prime, _cls in covered_projective_instances(db, max_order=40):
+    for k, m, n_prime, cls in covered_projective_instances(db, max_order=40):
         assert exclusivity_violations(db, k, m, n_prime) == [], (k, m, n_prime)
+        assert cls.exclusivity_failure() is None, (k, m, n_prime)
         swept += 1
-    assert swept >= 50
+    assert swept == 369
+
+
+def test_exclusivity_identities_above_the_order_cap(db):
+    from conftest import covered_projective_instances
+
+    above = [(k, m, n_prime)
+             for k, m, n_prime, cls in covered_projective_instances(db, max_order=10**9)
+             if cls.pg.total.order() > 40]
+    assert above == [("R", 14, 7), ("R", 16, 9), ("R", 17, 10), ("R", 18, 11),
+                     ("R", 19, 12)]
+    for k, m, n_prime in above:
+        assert ProjectiveClassifier(db, k, m, n_prime).exclusivity_failure() is None
+
+
+def test_exclusivity_identities_reject_what_the_sweep_rejects(db, monkeypatch):
+    """Mutants of the instance data (each kernel replaced by 0 or the whole
+    lift group, A by +1 or -1, in every combination) go into the classifier
+    cache; a mutant the pair sweep rejects must fail an identity too."""
+    import itertools
+
+    from conftest import covered_projective_instances
+    from coincalc import coincidence
+
+    real_classifier = coincidence.ProjectiveClassifier
+    tried = swept_bad = identities_bad = 0
+    for k, m, n_prime, cls in covered_projective_instances(db, max_order=24):
+        lift = cls.pg.sphere_group
+        subgroups = [lift.trivial_subgroup(), lift.whole_subgroup()]
+        slots = {"ker": (cls.kernel(), subgroups),
+                 "ker_susp": (cls.suspended_kernel(), subgroups)}
+        if k == "R":
+            slots["A"] = (cls.antipodal(),
+                          [lift.identity_hom(), lift.multiplication_by(-1)])
+        # the original value first, then each replacement that differs from it
+        choices = [[o] + [v for v in vals if v != o] for o, vals in slots.values()]
+        for combo in itertools.product(*choices):
+            if all(v is c[0] for v, c in zip(combo, choices)):
+                continue
+
+            def mutant():
+                mut = real_classifier(db, k, m, n_prime)
+                mut._cache.update(zip(slots, combo))
+                return mut
+
+            broken = mutant().exclusivity_failure()
+            swept = mutant()
+            with monkeypatch.context() as patch:
+                patch.setattr(coincidence, "ProjectiveClassifier", lambda *args: swept)
+                bad = exclusivity_violations(db, k, m, n_prime)
+            assert not (bad and broken is None), (k, m, n_prime, combo)
+            tried += 1
+            swept_bad += bool(bad)
+            identities_bad += broken is not None
+    assert (tried, swept_bad, identities_bad) == (258, 130, 189)
 
 
 def _case_oracle(db, k, m, n_prime):
@@ -550,6 +607,27 @@ def test_projective_case2_where_suspension_enlarges_the_kernel(db_doc):
                                      HomotopyClass(cls.space, 10, z2, zero))
             assert got == oracle(z1, z2), (z1.coords, z2.coords)
     assert exclusivity_violations(d, "C", 10, 3) == []
+
+
+def test_validate_db_reports_a_broken_case_identity(db_doc, tmp_path, capsys):
+    """A zero boundary for (R, 9, 6) makes ker_susp all of C24 while A = -1
+    fixes only C2: identity (ii) fails, and the pair sweep agrees."""
+    import json
+
+    from conftest import write_db
+    from coincalc.cli import EXIT_ERROR, main
+
+    d = _with_boundary_record(db_doc, "R", 9, 6, [[0]])
+    assert len(exclusivity_violations(d, "R", 9, 6)) == 44
+    assert ProjectiveClassifier(d, "R", 9, 6).exclusivity_failure() == (
+        "identity (ii) fails: ker_susp != ker(A - 1)")
+    path = write_db(tmp_path, db_doc)  # db_doc now holds the record too
+    assert main(["--format", "machine", "--db", str(path), "validate-db"]) == EXIT_ERROR
+    checks = json.loads(capsys.readouterr().out)["payload"]["checks"]
+    failed = [c for c in checks
+              if c["check"] == "case-exclusivity" and c["status"] == "fail"]
+    assert [c["instance"] for c in failed] == ["(K=R, m=9, n'=6)"]
+    assert "ker(A - 1)" in failed[0]["detail"]
 
 
 def test_projective_real_case2_from_a_boundary_record(db_doc):

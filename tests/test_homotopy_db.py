@@ -65,6 +65,10 @@ def test_pi_sphere_analytic_rules(db):
     assert db.pi_sphere(3, 5).is_trivial  # m < n
     assert db.pi_sphere(6, 6) == FgAbGroup(1, ())  # degree
     assert db.pi_sphere(9, 1).is_trivial  # circle above degree 1
+    # the rules answer with one shared value each
+    assert db.pi_sphere(3, 5) is db.pi_sphere(9, 1) is db.stable_stem(-1)
+    assert db.pi_sphere(6, 6) is db.pi_sphere(2, 2)
+    assert db.pi_sphere(6, 6).labels == ("i",)
     with pytest.raises(GapError, match="not in the database"):
         db.pi_sphere(40, 12)
 
