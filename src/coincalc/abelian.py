@@ -24,9 +24,9 @@ whether a vector lies in it (:meth:`_Snf.coefficients`), which integer
 combination of the columns gives it (:meth:`_Snf.solve`), which
 combinations give zero (:meth:`_Snf.kernel_basis`), and whether it is
 everything (:meth:`_Snf.spans_everything`).  Kernels, inverses,
-membership, surjectivity, subgroup coordinates and intersections are
-each one of these calls, and every canonical form (quotients, direct
-sums, subgroups) comes from :func:`_canonicalize_presentation`.
+membership, surjectivity and subgroup coordinates are each one of these
+calls, and every canonical form (quotients, direct sums, subgroups)
+comes from :func:`_canonicalize_presentation`.
 
 All values are immutable after construction (:class:`Record`) and safe
 to share between threads.
@@ -804,20 +804,6 @@ class Subgroup:
         if other.ambient != self._ambient:
             raise UsageError("subgroups live in different ambient groups")
         return Subgroup(self._ambient, self._generators + other._generators)
-
-    def intersection(self, other: "Subgroup") -> "Subgroup":
-        if other.ambient != self._ambient:
-            raise UsageError("subgroups live in different ambient groups")
-        n = self._ambient.ngens
-        rel = self._ambient.relation_columns()
-        a1 = [list(g.coords) for g in self._generators] + rel
-        a2 = [list(g.coords) for g in other._generators] + rel
-        # kernel vectors (x1, x2) of [a1 | -a2] meet in a1 * x1 = a2 * x2
-        res = _lattice(a1 + [[-x for x in c] for c in a2], n)
-        rows = [[c[i] for c in a1] for i in range(n)]
-        gens = [self._ambient.element(_mat_vec(rows, x[: len(a1)]))
-                for x in res.kernel_basis()]
-        return Subgroup(self._ambient, tuple(gens))
 
     def enumerate_elements(self, cap: int = ENUMERATION_CAP):
         """Yield every element of a finite subgroup (oracle helper)."""

@@ -25,7 +25,7 @@ from .abelian import FgAbGroup, GroupElement, Subgroup
 from .coincidence import Grassmannian2, Sphere
 from .errors import DataError, GapError, UsageError
 from .fibration import ProjectiveSpace
-from .homotopy_db import Database, load_database
+from .homotopy_db import Database
 from .trace import Trace
 
 EXIT_OK = 0
@@ -78,6 +78,26 @@ def _resolve_db_path(arg: str | None) -> str:
     if env:
         return env
     return str(homotopy_db.DEFAULT_DB_PATH)
+
+
+# the table this process built last, as (file bytes, Database), replaced
+# as a whole; a call on a file with the same bytes reuses that Database
+# and its memo
+_loaded: tuple[bytes, Database] | None = None
+
+
+def _database(path: str) -> Database:
+    """The table in ``path``, read once per call and built only when its
+    bytes differ from those of the kept table."""
+    global _loaded
+    data = homotopy_db.read_database(path)
+    kept = _loaded
+    if kept is not None and kept[0] == data:
+        return kept[1]
+    _loaded = None  # a load that raises keeps nothing
+    db = homotopy_db.build_database(homotopy_db.decode_database(data, path))
+    _loaded = (data, db)
+    return db
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +463,7 @@ def main(argv=None) -> int:
     fmt = _requested_format(argv)
     try:
         args = _shared_parser().parse_args(argv)
-        db = load_database(_resolve_db_path(args.db))
+        db = _database(_resolve_db_path(args.db))
         trace = Trace()
         payload = _HANDLERS[args.command](db, args, trace)
     except (UsageError, DataError) as exc:

@@ -396,7 +396,11 @@ class ProjectiveClassifier:
         a_minus_one = GroupHom(group, group, [
             [x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a.matrix)
         ])
-        if a_minus_one.kernel() != ker_susp:
+        # keyed by the map itself: a kernel read under (m, n') could belong
+        # to a different A
+        kernel = self.db.memo(("kernel", a_minus_one), self.trace,
+                              lambda _: a_minus_one.kernel())
+        if kernel != ker_susp:
             return "identity (ii) fails: ker_susp != ker(A - 1)"
         q = self.suspension_quotient()
         if any(q(a(g)) != q(g) for g in group.generators()):

@@ -291,7 +291,7 @@ def validate_exactness(db: Database, k: str, m: int, n_prime: int) -> ExactnessC
         return ExactnessCheck(
             k, m, n_prime, "unverifiable", "no frame-bundle projection available"
         )
-    image = proj.image()
+    image = db.memo(("image", proj), None, lambda _: proj.image())
     if image == ker:
         return ExactnessCheck(
             k, m, n_prime, "ok",

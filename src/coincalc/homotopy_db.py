@@ -92,7 +92,9 @@ class Database:
 
     Derived instance data (projective splittings, boundary kernels,
     suspension quotients, antipodal maps, filtration stages) is built once
-    per database through :meth:`memo`.
+    per database through :meth:`memo`, and so are two derivations keyed by
+    the homomorphism they come from: kernels of ``A - 1`` under
+    ``("kernel", hom)`` and frame-projection images under ``("image", hom)``.
     """
 
     def __init__(self, range_: DatabaseRange, sphere_records, hom_records):
@@ -236,9 +238,6 @@ class Database:
 
     # -- Stiefel manifolds --------------------------------------------------------
 
-    def pi_stiefel_real(self, m: int, r: int) -> FgAbGroup:
-        return self.stiefel_splitting(m, r).group
-
     def stiefel_splitting(self, m: int, r: int) -> DirectSum:
         """pi_m of the real Stiefel manifold V_{r,2} as fiber + base.
 
@@ -310,17 +309,38 @@ def _parse_matrix(obj, where: str):
 
 
 def load_database(path) -> Database:
-    """Load and fully validate a database file.
+    """Load and fully validate a database file; a fresh ``Database`` on
+    every call.
 
     Every record invariant, the declared-range closure and the
     Freudenthal constraints are checked here; failures name the record.
     """
-    path = Path(path)
+    return build_database(decode_database(read_database(path), path))
+
+
+def read_database(path) -> bytes:
+    """The bytes of a database file."""
     try:
-        raw = json.loads(path.read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read database {path}: {exc}") from exc
-    return build_database(raw)
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
+
+
+def decode_database(data: bytes, path) -> dict:
+    """The JSON document in ``data``, the bytes of ``path``.
+
+    The file is UTF-8 by format; the bytes are decoded as such rather than
+    handed to ``json.loads``, which would also accept UTF-16 and UTF-32.
+    Nesting too deep for the decoder is unreadable too.
+    """
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise _unreadable(path, exc) from exc
+
+
+def _unreadable(path, exc: Exception) -> DataError:
+    return DataError(f"cannot read database {Path(path)}: {exc}")
 
 
 def build_database(raw: dict) -> Database:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from coincalc.abelian import FgAbGroup, GroupHom, Subgroup
 from coincalc.coincidence import SphereClassifier
 from coincalc.coincidence import covered_projective_instances  # noqa: F401
 from coincalc.errors import GapError
@@ -31,6 +32,23 @@ def write_db(tmp_path, doc, name="db.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), "utf-8")
     return path
+
+
+def intersection(a, b):
+    """``a`` meet ``b``, two subgroups of one ambient group: the kernel of
+    ``(x, y) -> sum x_i a_i - sum y_j b_j`` on a free group, sent through
+    the generators of ``a``."""
+    ambient = a.ambient
+    assert b.ambient == ambient
+    zeros = tuple(ambient.zero() for _ in b.generators)
+    free = FgAbGroup.free(len(a.generators) + len(zeros))
+
+    def hom(vectors):
+        return GroupHom(free, ambient,
+                        [[v.coords[i] for v in vectors] for i in range(ambient.ngens)])
+
+    meet = hom(a.generators + tuple(-g for g in b.generators)).kernel()
+    return Subgroup(ambient, tuple(map(hom(a.generators + zeros), meet.generators)))
 
 
 def covered_sphere_instances(db):

@@ -19,6 +19,8 @@ from coincalc.abelian import (
 )
 from coincalc.errors import UsageError
 
+from conftest import intersection
+
 
 # --- independent oracles ----------------------------------------------------
 
@@ -223,7 +225,15 @@ def test_direct_sum_projection_injection_identity():
     # the two summand images only share zero
     im1 = ds.injections[0].image()
     im2 = ds.injections[1].image()
-    assert im1.intersection(im2).is_trivial
+    assert intersection(im1, im2).is_trivial
+
+
+def test_intersection_helper_c24():
+    # <2> meet <3> in C24 is <6>, a C4; the helper is a test oracle
+    g = FgAbGroup(0, (24,))
+    meet = intersection(g.multiplication_by(2).image(), g.multiplication_by(3).image())
+    assert meet.canonical_form == FgAbGroup(0, (4,))
+    assert meet.contains(g.element([6])) and not meet.contains(g.element([2]))
 
 
 # --- membership ---------------------------------------------------------------------

@@ -206,6 +206,96 @@ def test_validate_db_fails_on_seeded_fault(capsys, tmp_path, db_doc):
     assert "suspension (8,5)" in doc["message"]
 
 
+# --- one loaded table per process ------------------------------------------------------------
+
+
+def _count_builds(monkeypatch):
+    """Forget the kept table and count the tables built from now on."""
+    from coincalc import cli, homotopy_db
+
+    monkeypatch.setattr(cli, "_loaded", None)
+    built = []
+    real = homotopy_db.build_database
+
+    def build(raw):
+        built.append(raw)
+        return real(raw)
+
+    monkeypatch.setattr(homotopy_db, "build_database", build)
+    return built
+
+
+def test_calls_on_the_same_file_share_one_table(capsys, tmp_path, db_doc, monkeypatch):
+    built = _count_builds(monkeypatch)
+    path = write_db(tmp_path, db_doc)
+    assert run_machine(capsys, "--db", str(path), "pi-sphere", "--m", "9", "--n", "6")[0] == EXIT_OK
+    assert run_machine(capsys, "--db", str(path), "validate-db")[0] == EXIT_OK
+    assert len(built) == 1
+    # a copy with the same bytes is the same table; other bytes are not
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(path.read_bytes())
+    assert run_machine(capsys, "--db", str(copy), "validate-db")[0] == EXIT_OK
+    assert len(built) == 1
+    path.write_bytes(path.read_bytes() + b"\n")
+    assert run_machine(capsys, "--db", str(path), "validate-db")[0] == EXIT_OK
+    assert len(built) == 2
+
+
+def test_validate_db_reads_a_fault_written_between_calls(capsys, tmp_path, db_doc):
+    path = write_db(tmp_path, db_doc)
+    for _ in range(2):  # cold, then warm
+        assert run_machine(capsys, "--db", str(path), "validate-db")[0] == EXIT_OK
+    # a zero boundary for (R, 9, 6) loads, but its kernel is not the
+    # stable one and it breaks case identity (ii)
+    db_doc["homs"].append({"kind": "boundary", "K": "R", "m": 9, "nprime": 6,
+                           "matrix": [[0]], "provenance": "seeded fault"})
+    write_db(tmp_path, db_doc)
+    code, doc, _ = run_machine(capsys, "--db", str(path), "validate-db")
+    assert code == EXIT_ERROR
+    failed = [c for c in doc["payload"]["checks"] if c["status"] == "fail"]
+    assert [(c["check"], c["instance"]) for c in failed] == [
+        ("stable-kernel", "(9,6)"), ("case-exclusivity", "(K=R, m=9, n'=6)")]
+    assert "ker(A - 1)" in failed[1]["detail"]
+    # a suspension that is not bijective in the stable range fails the load
+    for rec in db_doc["homs"]:
+        if rec["kind"] == "suspension" and (rec["m"], rec["n"]) == (8, 5):
+            rec["matrix"] = [[2]]
+    write_db(tmp_path, db_doc)
+    code, doc, _ = run_machine(capsys, "--db", str(path), "validate-db")
+    assert code == EXIT_ERROR
+    assert "suspension (8,5)" in doc["message"]
+
+
+def test_a_failed_load_is_not_kept(capsys, tmp_path, db_doc, monkeypatch):
+    from coincalc import cli
+
+    built = _count_builds(monkeypatch)
+    good = write_db(tmp_path, db_doc, "good.json")
+    assert run_machine(capsys, "--db", str(good), "validate-db")[0] == EXIT_OK
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", "utf-8")
+    code, doc, _ = run_machine(capsys, "--db", str(bad), "validate-db")
+    assert code == EXIT_ERROR and "cannot read database" in doc["message"]
+    assert cli._loaded is None
+    code, doc, _ = run_machine(capsys, "--db", str(good), "pi-sphere", "--m", "9", "--n", "6")
+    assert code == EXIT_OK and doc["payload"]["group"]["torsion"] == [24]
+    assert len(built) == 2
+
+
+def test_validate_db_cold_and_warm_give_the_same_bytes(capsys, monkeypatch):
+    from coincalc import cli
+
+    monkeypatch.setattr(cli, "_loaded", None)
+    monkeypatch.delenv(cli.ENV_DB, raising=False)
+    cold = run_machine(capsys, "validate-db")
+    kept = cli._loaded
+    warm = run_machine(capsys, "validate-db")
+    assert cli._loaded is kept
+    assert cold[0] == warm[0] == EXIT_OK
+    assert cold[2] == warm[2]
+    assert len(warm[1]["payload"]["checks"]) == 453
+
+
 # --- output discipline ------------------------------------------------------------------------
 
 

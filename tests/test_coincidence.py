@@ -644,7 +644,7 @@ def test_projective_real_case2_from_a_boundary_record(db_doc):
 
 def test_projective_split_exactness_sweep(db):
     # summand injections intersect trivially and jointly generate
-    from conftest import covered_projective_instances
+    from conftest import covered_projective_instances, intersection
     from coincalc.fibration import pi_projective
 
     for k, m, n_prime, cls in covered_projective_instances(db, max_order=64):
@@ -652,7 +652,7 @@ def test_projective_split_exactness_sweep(db):
         assert pg.lift_injection.kernel().is_trivial
         im1 = pg.lift_injection.image()
         im2 = pg.c_injection.image()
-        assert im1.intersection(im2).is_trivial
+        assert intersection(im1, im2).is_trivial
         assert (im1 + im2).canonical_form == pg.total
 
 

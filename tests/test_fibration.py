@@ -17,7 +17,7 @@ from coincalc.fibration import (
     validate_exactness,
 )
 
-from conftest import write_db
+from conftest import intersection, write_db
 
 
 # --- descriptors ----------------------------------------------------------------
@@ -49,7 +49,7 @@ def test_pi_projective_rp6_m9(db):
     assert pg.lift_injection.kernel().is_trivial
     joined = pg.lift_injection.image() + pg.c_injection.image()
     assert joined.canonical_form == pg.total
-    assert pg.lift_injection.image().intersection(pg.c_injection.image()).is_trivial
+    assert intersection(pg.lift_injection.image(), pg.c_injection.image()).is_trivial
 
 
 def test_pi_projective_complex_low_degree(db):

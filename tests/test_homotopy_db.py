@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -56,6 +57,23 @@ def test_unreadable_file_is_a_data_error(tmp_path):
         load_database(path)
     with pytest.raises(DataError):
         load_database(tmp_path / "missing.json")
+
+
+def test_non_utf8_file_is_a_data_error(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    # json.loads would read these bytes as UTF-16; the format is UTF-8
+    with pytest.raises(DataError, match=f"cannot read database {re.escape(str(path))}: "
+                                        ".*'utf-8' codec"):
+        load_database(path)
+
+
+def test_too_deep_nesting_is_a_data_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, "utf-8")
+    with pytest.raises(DataError, match=f"cannot read database {re.escape(str(path))}: "
+                                        "maximum recursion depth"):
+        load_database(path)
 
 
 # --- sphere lookups ---------------------------------------------------------------
@@ -193,13 +211,13 @@ def test_boundary_record_used_when_present(tmp_path, db_doc):
 
 
 def test_stiefel_split_values(db):
-    assert db.pi_stiefel_real(3, 4) == FgAbGroup(2, ())
-    assert db.pi_stiefel_real(8, 10) == FgAbGroup(1, ())
-    assert db.pi_stiefel_real(5, 8).is_trivial  # m < r - 2
+    assert db.stiefel_splitting(3, 4).group == FgAbGroup(2, ())
+    assert db.stiefel_splitting(8, 10).group == FgAbGroup(1, ())
+    assert db.stiefel_splitting(5, 8).group.is_trivial  # m < r - 2
     with pytest.raises(UsageError):
-        db.pi_stiefel_real(3, 5)
+        db.stiefel_splitting(3, 5)
     with pytest.raises(UsageError):
-        db.pi_stiefel_real(2, 4)
+        db.stiefel_splitting(2, 4)
 
 
 # --- structure validation at load time ------------------------------------------------------------

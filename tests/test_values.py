@@ -81,9 +81,11 @@ def test_values_of_different_types_differ():
 
 
 def test_cli_import_needs_no_dataclass_machinery():
+    # nor hashlib: the CLI keys its loaded table by the file's raw bytes
     env = dict(os.environ, PYTHONPATH=str(SRC))
     code = ("import sys, coincalc.cli; "
-            "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]; "
+            "loaded = [m for m in ('dataclasses', 'inspect', 'hashlib') "
+            "if m in sys.modules]; "
             "assert not loaded, loaded")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
