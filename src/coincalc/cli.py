@@ -72,7 +72,7 @@ def _bind_coordinates(argv) -> list[str]:
 
 
 def _resolve_db_path(arg: str | None) -> str:
-    if arg:
+    if arg is not None:  # an explicit empty path is unreadable, not the default
         return arg
     env = os.environ.get(ENV_DB)
     if env:
@@ -294,12 +294,14 @@ def _run_db_checks(db: Database) -> list[dict]:
                 checks.append({"check": "stable-kernel", "instance": f"({m},{n})",
                                "status": "unverifiable", "detail": str(exc)})
                 continue
+            # both sets are memoized by value and compared on every call
             factor = 1 + (-1) ** n
-            expected = {
-                e.coords for e in group.enumerate_torsion_part()
-                if (factor * e).is_zero
-            }
-            actual = {e.coords for e in ker.enumerate_elements()}
+            expected = db.memo(("killed", group, factor), None, lambda _: frozenset(
+                e.coords for e in group.enumerate_torsion_part() if (factor * e).is_zero
+            ))
+            actual = db.memo(("elements", ker), None, lambda _: frozenset(
+                e.coords for e in ker.enumerate_elements()
+            ))
             ok = expected == actual
             checks.append(
                 {

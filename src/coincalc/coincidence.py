@@ -392,18 +392,12 @@ class ProjectiveClassifier:
         if self.k != "R":
             return None
         a = self.antipodal()
-        group = a.domain
-        a_minus_one = GroupHom(group, group, [
-            [x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a.matrix)
-        ])
-        # keyed by the map itself: a kernel read under (m, n') could belong
-        # to a different A
-        kernel = self.db.memo(("kernel", a_minus_one), self.trace,
-                              lambda _: a_minus_one.kernel())
-        if kernel != ker_susp:
+        # keyed by A itself: a kernel read under (m, n') could belong to a
+        # different A
+        if self.db.memo(("fixed", a), self.trace, lambda _: _fixed(a)) != ker_susp:
             return "identity (ii) fails: ker_susp != ker(A - 1)"
         q = self.suspension_quotient()
-        if any(q(a(g)) != q(g) for g in group.generators()):
+        if any(q(a(g)) != q(g) for g in a.domain.generators()):
             return "identity (iii) fails: im(A - 1) is not inside the suspension image"
         return None
 
@@ -429,6 +423,14 @@ class ProjectiveClassifier:
         z1 = self.lift_component(x1)
         z2 = self.lift_component(x2)
         return [i for i, pred in self._case_predicates(z1, z2).items() if pred()]
+
+
+def _fixed(a: GroupHom) -> Subgroup:
+    """ker(A - 1), the classes an endomorphism A fixes."""
+    group = a.domain
+    return GroupHom(group, group, [
+        [x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a.matrix)
+    ]).kernel()
 
 
 def classify_projective_pair(
@@ -463,9 +465,16 @@ def exclusivity_violations(
     return bad
 
 
-def covered_projective_instances(db: Database, max_order: int = 64):
-    """Yield ``(k, m, n_prime, classifier)`` for every finite projective
-    instance whose complete case data the database can derive."""
+def covered_projective_instances(db: Database, max_order: int = 64) -> tuple:
+    """The tuple of ``(k, m, n_prime, classifier)`` for every finite
+    projective instance of order at most ``max_order`` whose complete case
+    data the database can derive; built once per ``(db, max_order)``, so
+    every caller shares its classifiers."""
+    return db.memo(("covered", max_order), None,
+                   lambda _: tuple(_covered_projective_instances(db, max_order)))
+
+
+def _covered_projective_instances(db: Database, max_order: int):
     rng = db.range
     for k in FIELDS:
         d = field_dim(k)

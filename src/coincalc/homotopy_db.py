@@ -91,10 +91,14 @@ class Database:
     """Immutable lookup service; raises ``GapError`` for uncovered cells.
 
     Derived instance data (projective splittings, boundary kernels,
-    suspension quotients, antipodal maps, filtration stages) is built once
-    per database through :meth:`memo`, and so are two derivations keyed by
-    the homomorphism they come from: kernels of ``A - 1`` under
-    ``("kernel", hom)`` and frame-projection images under ``("image", hom)``.
+    suspension quotients, antipodal maps, filtration stages, Stiefel
+    splittings under ``("stiefel", m, r)``) is built once per database
+    through :meth:`memo`.  So is what ``validate-db`` reads, each keyed by
+    the value it is derived from: the kernel of ``A - 1`` under
+    ``("fixed", A)``, frame-projection images under ``("image", hom)``,
+    the element sets the stable-kernel check compares under
+    ``("killed", group, factor)`` and ``("elements", subgroup)``, and the
+    tuple of covered projective instances under ``("covered", max_order)``.
     """
 
     def __init__(self, range_: DatabaseRange, sphere_records, hom_records):
@@ -244,7 +248,8 @@ class Database:
         For even ``r`` the frame bundle ``S^{r-2} -> V_{r,2} -> S^{r-1}``
         has a section (complex scalar multiplication), so the homotopy
         sequence splits.  ``projections[1]`` is induced by sending a
-        frame to its first vector.
+        frame to its first vector.  Built once per ``(m, r)``; a bad
+        argument raises on every call and stores nothing.
         """
         if r < 4 or r % 2:
             raise UsageError(
@@ -252,7 +257,8 @@ class Database:
             )
         if m < 3:
             raise UsageError("pi_m(V_{r,2}(R)) is only computed for m >= 3")
-        return self.pi_sphere(m, r - 2).direct_sum(self.pi_sphere(m, r - 1))
+        return self.memo(("stiefel", m, r), None, lambda _: self.pi_sphere(
+            m, r - 2).direct_sum(self.pi_sphere(m, r - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +278,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _known_keys(obj: dict, keys, where: str):
+    unknown = [key for key in obj if key not in keys]
+    _require(not unknown, f"{where}: unknown key(s) {unknown}")
+
+
 def _records(raw: dict, key: str) -> list[dict]:
     recs = raw.get(key, [])
     _require(isinstance(recs, list), f"{key} must be a list")
@@ -280,21 +291,25 @@ def _records(raw: dict, key: str) -> list[dict]:
     return recs
 
 
-def _parse_group(obj, where: str) -> FgAbGroup:
-    _require(_is_int(obj.get("free_rank")), f"{where}: free_rank must be an integer")
-    torsion = obj.get("torsion", [])
+def _parse_group(obj, where: str, prefix: str = "") -> FgAbGroup:
+    """The group in ``obj``'s fields ``{prefix}free_rank``,
+    ``{prefix}torsion`` and, unprefixed only, ``labels``."""
+    free_rank = obj.get(prefix + "free_rank")
+    _require(_is_int(free_rank), f"{where}: {prefix}free_rank must be an integer")
+    torsion = obj.get(prefix + "torsion")
     _require(
         isinstance(torsion, list) and all(_is_int(t) for t in torsion),
-        f"{where}: torsion must be a list of integers",
+        f"{where}: {prefix}torsion must be a list of integers",
     )
-    labels = obj.get("labels")
-    if labels is not None:
+    labels = None
+    if not prefix and "labels" in obj:
+        labels = obj["labels"]
         _require(
             isinstance(labels, list) and all(isinstance(x, str) for x in labels),
             f"{where}: labels must be strings",
         )
     try:
-        return FgAbGroup(obj["free_rank"], tuple(torsion), tuple(labels) if labels else None)
+        return FgAbGroup(free_rank, tuple(torsion), tuple(labels) if labels else None)
     except UsageError as exc:
         raise DataError(f"{where}: {exc}") from exc
 
@@ -319,9 +334,11 @@ def load_database(path) -> Database:
 
 
 def read_database(path) -> bytes:
-    """The bytes of a database file."""
+    """The bytes of a database file.  The path is opened as given: an
+    empty one names no file (``Path("")`` would be the current directory)."""
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as file:
+            return file.read()
     except OSError as exc:
         raise _unreadable(path, exc) from exc
 
@@ -340,25 +357,40 @@ def decode_database(data: bytes, path) -> dict:
 
 
 def _unreadable(path, exc: Exception) -> DataError:
-    return DataError(f"cannot read database {Path(path)}: {exc}")
+    return DataError(f"cannot read database {path}: {exc}")
+
+
+# the keys each object may hold, with the least value of each range field
+_DOCUMENT_KEYS = ("format", "range", "sphere_groups", "homs")
+_RANGE_MINIMUM = {"n_min": 1, "n_max": 1, "stem_max": 0}
+_SPHERE_KEYS = ("m", "n", "free_rank", "torsion", "labels", "provenance")
 
 
 def build_database(raw: dict) -> Database:
+    """The table in a decoded document, checked as :func:`load_database`
+    says.  Two departures from the schema are deliberate: a document
+    without ``format`` is read as this format, and a missing ``range``,
+    ``sphere_groups`` or ``homs`` is read as empty."""
     _require(isinstance(raw, dict), "database document must be a JSON object")
-    fmt = raw.get("format", FORMAT)  # a document without one is read as this
+    _known_keys(raw, _DOCUMENT_KEYS, "database document")
+    fmt = raw.get("format", FORMAT)
     _require(fmt == FORMAT, f"format must be {FORMAT!r}, got {fmt!r}")
-    range_obj = raw.get("range")
-    if range_obj is None:
+    if "range" not in raw:
         range_ = DatabaseRange(1, 0, 0)  # empty window: every lookup is a gap
     else:
+        range_obj = raw["range"]
         _require(isinstance(range_obj, dict), "range must be an object")
-        for key in ("n_min", "n_max", "stem_max"):
-            _require(_is_int(range_obj.get(key)), f"range.{key} must be an integer")
+        _known_keys(range_obj, _RANGE_MINIMUM, "range")
+        for key, least in _RANGE_MINIMUM.items():
+            value = range_obj.get(key)
+            _require(_is_int(value) and value >= least,
+                     f"range.{key} must be an integer >= {least}")
         range_ = DatabaseRange(range_obj["n_min"], range_obj["n_max"], range_obj["stem_max"])
 
     sphere_records = []
     for rec in _records(raw, "sphere_groups"):
         where = f"sphere_groups[{rec.get('m')},{rec.get('n')}]"
+        _known_keys(rec, _SPHERE_KEYS, where)
         _require(_is_int(rec.get("m")) and _is_int(rec.get("n")),
                  f"{where}: m and n must be integers")
         group = _parse_group(rec, where)
@@ -374,9 +406,12 @@ def build_database(raw: dict) -> Database:
 
     db = Database(range_, sphere_records, [])
 
-    # declared window must be closed under lookups
-    for n in range(range_.n_min, range_.n_max + 1):
-        for m in range(n, n + range_.stem_max + 1):
+    # declared window must be closed under lookups; the analytic cells
+    # (n = 1 or m = n) always are, and every row left needs records, so
+    # a huge declared window fails at its first hole instead of looping
+    rows = range(max(2, range_.n_min), range_.n_max + 1) if range_.stem_max else ()
+    for n in rows:
+        for m in range(n + 1, n + range_.stem_max + 1):
             try:
                 db.pi_sphere(m, n)
             except GapError:
@@ -405,7 +440,7 @@ def _parse_hom(db: Database, i: int, rec: dict) -> StructureHomRecord:
     matrix = _parse_matrix(rec.get("matrix"), f"{name} (m={m})")
     try:
         if kind in ("suspension", "stable_suspension", "antipodal"):
-            _require(k is None, f"{name} (m={m}): K not allowed")
+            _require("K" not in rec, f"{name} (m={m}): K not allowed")
             n = rec.get("n")
             _require(_is_int(n), f"{name} (m={m}): n must be an integer")
             where = f"{kind} ({m},{n})"
@@ -418,20 +453,15 @@ def _parse_hom(db: Database, i: int, rec: dict) -> StructureHomRecord:
         else:
             _require(k in FIELDS, f"{name} (m={m}): K must be R, C or H")
             n = rec.get("nprime")
-            _require(_is_int(n), f"{name} (m={m}): nprime must be an integer")
+            _require(_is_int(n) and n >= 2,
+                     f"{name} (m={m}): nprime must be an integer >= 2")
             where = f"{kind} ({k},{m},{n})"
             d = FIELD_DIM[k]
             if kind == "boundary":
                 dom = db.pi_sphere(m, d * n + d - 1)
                 cod = db.pi_sphere(m - 1, d * n - 1)
             else:  # stiefel_projection
-                dom = _parse_group(
-                    {
-                        "free_rank": rec.get("domain_free_rank"),
-                        "torsion": rec.get("domain_torsion", []),
-                    },
-                    where,
-                )
+                dom = _parse_group(rec, where, "domain_")
                 cod = db.pi_sphere(m, d * n + d - 1)
         hom = GroupHom(dom, cod, matrix)
     except (UsageError, GapError) as exc:

@@ -283,17 +283,40 @@ def test_a_failed_load_is_not_kept(capsys, tmp_path, db_doc, monkeypatch):
 
 
 def test_validate_db_cold_and_warm_give_the_same_bytes(capsys, monkeypatch):
+    """A second call on the kept table only compares memoized values: it
+    builds no classifier and no direct sum, and prints the same bytes."""
     from coincalc import cli
+    from coincalc.abelian import FgAbGroup
+    from coincalc.coincidence import ProjectiveClassifier
 
     monkeypatch.setattr(cli, "_loaded", None)
     monkeypatch.delenv(cli.ENV_DB, raising=False)
     cold = run_machine(capsys, "validate-db")
     kept = cli._loaded
+    built = []
+    for owner, name in ((ProjectiveClassifier, "__init__"), (FgAbGroup, "direct_sum")):
+        def counted(*args, real=getattr(owner, name), name=name, **kwargs):
+            built.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
     warm = run_machine(capsys, "validate-db")
+    assert built == []
     assert cli._loaded is kept
     assert cold[0] == warm[0] == EXIT_OK
     assert cold[2] == warm[2]
     assert len(warm[1]["payload"]["checks"]) == 453
+
+
+def test_an_empty_db_path_is_unreadable(capsys, monkeypatch):
+    from coincalc import cli
+
+    monkeypatch.setattr(cli, "_loaded", None)
+    monkeypatch.delenv(cli.ENV_DB, raising=False)
+    code, doc, _ = run_machine(capsys, "--db", "", "pi-sphere", "--m", "9", "--n", "6")
+    assert code == EXIT_ERROR
+    assert doc["message"].startswith("cannot read database : ")
+    assert cli._loaded is None
 
 
 # --- output discipline ------------------------------------------------------------------------

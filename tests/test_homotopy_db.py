@@ -50,6 +50,16 @@ def test_empty_document_gives_empty_database(tmp_path):
     assert empty.pi_sphere(4, 4) == FgAbGroup(1, ())
 
 
+def test_a_huge_window_is_checked_only_where_records_answer():
+    # rows n = 1 and cells m = n answer by rule; any other cell needs a
+    # record, so a huge window fails at its first hole instead of looping
+    huge = 10**18
+    assert build_database({"range": {"n_min": 1, "n_max": huge, "stem_max": 0}})
+    assert build_database({"range": {"n_min": 1, "n_max": 1, "stem_max": huge}})
+    with pytest.raises(DataError, match=r"range hole: pi_3\(S\^2\)"):
+        build_database({"range": {"n_min": 1, "n_max": huge, "stem_max": huge}})
+
+
 def test_unreadable_file_is_a_data_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", "utf-8")
@@ -220,6 +230,15 @@ def test_stiefel_split_values(db):
         db.stiefel_splitting(2, 4)
 
 
+def test_stiefel_splitting_is_built_once_and_bad_calls_always_raise(db):
+    assert db.stiefel_splitting(9, 8) is db.stiefel_splitting(9, 8)
+    assert db.stiefel_splitting(9, 8) is not db.stiefel_splitting(9, 10)
+    for _ in range(2):
+        for m, r in ((3, 5), (9, 7), (2, 4), (1, 8)):
+            with pytest.raises(UsageError):
+                db.stiefel_splitting(m, r)
+
+
 # --- structure validation at load time ------------------------------------------------------------
 
 
@@ -316,6 +335,13 @@ def _set_sphere_record(m, n, **fields):
     return mutate
 
 
+def _drop_sphere_key(m, n, key):
+    def mutate(doc):
+        rec = next(r for r in doc["sphere_groups"] if (r["m"], r["n"]) == (m, n))
+        del rec[key]
+    return mutate
+
+
 def _set_suspension_matrix(m, n, matrix):
     def mutate(doc):
         rec = next(r for r in doc["homs"]
@@ -355,8 +381,35 @@ def _set_suspension_matrix(m, n, matrix):
     # pi_5(S^3) = C2 -> pi_6(S^4) = C2 at the edge m = 2n-1
     (_set_suspension_matrix(5, 3, [[0]]),
      r"suspension \(5,3\): must be surjective at m = 2n-1"),
+    # what the schema rejects is read neither as a default nor ignored
+    (lambda doc: doc.update(extra=1), r"^database document: unknown key\(s\) \['extra'\]$"),
+    (lambda doc: doc.update(range=None), "^range must be an object$"),
+    (lambda doc: doc["range"].update(extra=1), r"^range: unknown key\(s\) \['extra'\]$"),
+    (lambda doc: doc["range"].update(n_min=0), r"^range\.n_min must be an integer >= 1$"),
+    (lambda doc: doc["range"].update(stem_max=-1),
+     r"^range\.stem_max must be an integer >= 0$"),
+    (_set_sphere_record(9, 6, extra=1),
+     r"^sphere_groups\[9,6\]: unknown key\(s\) \['extra'\]$"),
+    (_drop_sphere_key(9, 6, "torsion"),
+     r"^sphere_groups\[9,6\]: torsion must be a list of integers$"),
+    (_set_sphere_record(3, 2, labels=None), r"^sphere_groups\[3,2\]: labels must be strings$"),
+    (lambda doc: doc["homs"][0].update(K=None), r"^homs\[0\] suspension record \(m=3\): K not allowed$"),
+    (lambda doc: next(r for r in doc["homs"] if r["kind"] == "boundary").update(nprime=1),
+     r"nprime must be an integer >= 2$"),
 ])
 def test_malformed_document_is_a_data_error(db_doc, mutate, match):
     mutate(db_doc)
     with pytest.raises(DataError, match=match):
+        build_database(db_doc)
+
+
+def test_stiefel_projection_without_domain_torsion_is_a_data_error(db_doc):
+    record = {"kind": "stiefel_projection", "K": "R", "m": 9, "nprime": 6,
+              "domain_free_rank": 0, "domain_torsion": [24],
+              "matrix": [[1]], "provenance": "synthetic test record"}
+    db_doc["homs"].append(record)
+    build_database(db_doc)
+    del record["domain_torsion"]
+    with pytest.raises(DataError, match=r"^stiefel_projection \(R,9,6\): "
+                                        r"domain_torsion must be a list of integers$"):
         build_database(db_doc)
