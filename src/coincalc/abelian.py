@@ -53,12 +53,14 @@ ENUMERATION_CAP = 10**6
 class Record:
     """Base of the package's immutable values.
 
-    A subclass names its fields in ``__slots__`` and sets each once in
-    ``__init__`` with ``object.__setattr__``.  Equality and hash are
-    field-wise over the ``compare`` class keyword (all fields by
-    default), and two records are equal only when they have the same
-    type, so ``Sphere(4) != Grassmannian2(4)``.  Setting or deleting an
-    attribute raises ``AttributeError``.
+    A subclass names its fields in ``__slots__``.  A plain record defines
+    no ``__init__``: it gets one taking the fields in ``__slots__`` order,
+    generated once when the class is created.  A validating record
+    defines its own and sets each field once with ``object.__setattr__``.
+    Equality and hash are field-wise over the ``compare`` class keyword
+    (all fields by default), and two records are equal only when they
+    have the same type, so ``Sphere(4) != Grassmannian2(4)``.  Setting or
+    deleting an attribute raises ``AttributeError``.
     """
 
     __slots__ = ()
@@ -66,6 +68,8 @@ class Record:
     def __init_subclass__(cls, compare=None, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._key = attrgetter(*(compare or cls.__slots__))
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _slot_init(cls)
 
     def __eq__(self, other):
         if self is other:
@@ -91,6 +95,18 @@ class Record:
         # copy and pickle rebuild through __init__, which takes the fields
         # in __slots__ order; restoring slots one by one would hit __setattr__
         return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+def _slot_init(cls):
+    # as in collections.namedtuple, the source is built from the slot names
+    # only, so the constructor has a real signature and no per-call loop
+    fields = cls.__slots__
+    body = "".join(f"\n    _setattr(self, {f!r}, {f})" for f in fields)
+    namespace = {"_setattr": object.__setattr__, "__name__": cls.__module__}
+    exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +142,6 @@ class _Snf(Record):
     """Transform data for ``diag = u * a * v``; ``uinv`` inverts ``u``."""
 
     __slots__ = ("u", "uinv", "v", "diag", "rank", "nrows", "ncols")
-
-    def __init__(self, u: Matrix, uinv: Matrix, v: Matrix, diag: tuple[int, ...],
-                 rank: int, nrows: int, ncols: int):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "uinv", uinv)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "ncols", ncols)
 
     def coefficients(self, b) -> list[int] | None:
         """``w`` with ``(u * b)[i] = diag[i] * w[i]`` for ``i < rank``, or
@@ -468,12 +474,6 @@ class FgAbGroup(Record, compare=("free_rank", "torsion")):
 
 class DirectSum(Record):
     __slots__ = ("group", "injections", "projections")
-
-    def __init__(self, group: FgAbGroup, injections: tuple["GroupHom", "GroupHom"],
-                 projections: tuple["GroupHom", "GroupHom"]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "injections", injections)
-        object.__setattr__(self, "projections", projections)
 
 
 def _canonicalize_presentation(ngens: int, relation_cols):

@@ -25,7 +25,7 @@ record or is reported as a gap.
 
 from __future__ import annotations
 
-from .abelian import FgAbGroup, GroupElement, GroupHom, Record, Subgroup
+from .abelian import GroupElement, GroupHom, Record, Subgroup
 from .errors import GapError, UsageError
 from .homotopy_db import TRIVIAL_GROUP, Database, field_dim
 from .trace import Trace
@@ -76,20 +76,6 @@ class ProjectiveHomotopyGroup(Record):
     __slots__ = ("space", "m", "total", "sphere_group", "c_group", "lift_injection",
                  "c_injection", "lift_projection", "c_projection")
 
-    def __init__(self, space: ProjectiveSpace, m: int, total: FgAbGroup,
-                 sphere_group: FgAbGroup, c_group: FgAbGroup, lift_injection: GroupHom,
-                 c_injection: GroupHom, lift_projection: GroupHom,
-                 c_projection: GroupHom):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "sphere_group", sphere_group)
-        object.__setattr__(self, "c_group", c_group)
-        object.__setattr__(self, "lift_injection", lift_injection)
-        object.__setattr__(self, "c_injection", c_injection)
-        object.__setattr__(self, "lift_projection", lift_projection)
-        object.__setattr__(self, "c_projection", c_projection)
-
     def split(self, elem: GroupElement) -> "HomotopyClass":
         if elem.group != self.total:
             raise UsageError("element does not live in pi_m of this space")
@@ -108,13 +94,6 @@ class HomotopyClass(Record):
     """An element of pi_m(KP(n')) in split coordinates."""
 
     __slots__ = ("space", "m", "lift_component", "c_component")
-
-    def __init__(self, space: ProjectiveSpace, m: int, lift_component: GroupElement,
-                 c_component: GroupElement):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "lift_component", lift_component)
-        object.__setattr__(self, "c_component", c_component)
 
 
 def pi_projective(
@@ -257,13 +236,6 @@ class ExactnessCheck(Record):
     """``status`` is "ok", "fail" or "unverifiable"."""
 
     __slots__ = ("k", "m", "n_prime", "status", "detail")
-
-    def __init__(self, k: str, m: int, n_prime: int, status: str, detail: str):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n_prime", n_prime)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "detail", detail)
 
     @property
     def instance(self) -> str:

@@ -55,12 +55,6 @@ def field_dim(k: str) -> int:
 class SphereGroupRecord(Record):
     __slots__ = ("m", "n", "group", "provenance")
 
-    def __init__(self, m: int, n: int, group: FgAbGroup, provenance: str):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "provenance", provenance)
-
 
 class StructureHomRecord(Record):
     """``field`` is R/C/H for boundary and stiefel_projection records;
@@ -68,32 +62,20 @@ class StructureHomRecord(Record):
 
     __slots__ = ("kind", "field", "m", "n", "hom", "provenance")
 
-    def __init__(self, kind: str, field: str | None, m: int, n: int, hom: GroupHom,
-                 provenance: str):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "hom", hom)
-        object.__setattr__(self, "provenance", provenance)
-
 
 class DatabaseRange(Record):
     __slots__ = ("n_min", "n_max", "stem_max")
-
-    def __init__(self, n_min: int, n_max: int, stem_max: int):
-        object.__setattr__(self, "n_min", n_min)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "stem_max", stem_max)
 
 
 class Database:
     """Immutable lookup service; raises ``GapError`` for uncovered cells.
 
-    Derived instance data (projective splittings, boundary kernels,
-    suspension quotients, antipodal maps, filtration stages, Stiefel
-    splittings under ``("stiefel", m, r)``) is built once per database
-    through :meth:`memo`.  So is what ``validate-db`` reads, each keyed by
+    Derived values are built once per database through :meth:`memo`;
+    this is the one list of its keys.  Instance data: ``("pi_projective",
+    k, m, n')``, ``("boundary_kernel", k, m, n')``,
+    ``("suspended_boundary_kernel", k, m, n')``, ``("suspension_quotient",
+    m, n)``, ``("antipodal", m, n)``, ``("filtration", space, m, stage)``
+    and ``("stiefel", m, r)``.  What ``validate-db`` reads, each keyed by
     the value it is derived from: the kernel of ``A - 1`` under
     ``("fixed", A)``, frame-projection images under ``("image", hom)``,
     the element sets the stable-kernel check compares under

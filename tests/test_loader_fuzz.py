@@ -125,9 +125,6 @@ def test_the_shipped_document_and_its_probes_are_valid():
         assert VALIDATOR.is_valid(_schema_probe(DOCUMENT, path)), path
 
 
-# Hypothesis's failure report trips this third-party deprecation, which
-# filterwarnings = error would turn into an internal error hiding the example
-@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(mutants())
 def test_the_loader_rejects_what_the_schema_rejects(mutant):

@@ -13,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from coincalc.abelian import FgAbGroup, GroupHom
-from coincalc.coincidence import CoincidenceVerdict, Grassmannian2, Sphere
-from coincalc.fibration import ProjectiveSpace
+from coincalc.abelian import FgAbGroup, GroupHom, Record
+from coincalc.coincidence import CoincidenceVerdict, Grassmannian2, LooseAnswer, Sphere
+from coincalc.errors import UsageError
+from coincalc.fibration import HomotopyClass, ProjectiveSpace
+from coincalc.homotopy_db import DatabaseRange, StructureHomRecord
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -31,6 +33,15 @@ def _values():
         "Grassmannian2": (Grassmannian2(6), Grassmannian2(6)),
         "CoincidenceVerdict": (CoincidenceVerdict(False, 1, 1, inf, "rule"),
                                CoincidenceVerdict(False, 1, 1, inf, "rule")),
+        "LooseAnswer": (LooseAnswer(True, "rule"), LooseAnswer(True, "rule")),
+        "DatabaseRange": (DatabaseRange(2, 12, 21), DatabaseRange(2, 12, 21)),
+        "HomotopyClass": tuple(
+            HomotopyClass(ProjectiveSpace("R", 6), 9, c24.element([5]),
+                          FgAbGroup(1).element([-2]))
+            for _ in range(2)),
+        "StructureHomRecord": tuple(
+            StructureHomRecord("boundary", "R", 9, 6, c24.multiplication_by(5), "table")
+            for _ in range(2)),
     }
 
 
@@ -71,6 +82,28 @@ def test_group_equality_ignores_labels():
     assert labelled.labels == ("nu",) and plain.labels is None
     assert labelled == plain
     assert labelled != FgAbGroup(1, (24,))
+
+
+def test_plain_records_get_a_constructor_from_their_slots():
+    assert DatabaseRange(n_min=2, stem_max=21, n_max=12) == DatabaseRange(2, 12, 21)
+    for args, kwargs in (((2, 12), {}), ((2, 12, 21, 0), {}),
+                         ((2, 12, 21), {"extra": 0})):
+        with pytest.raises(TypeError):
+            DatabaseRange(*args, **kwargs)
+
+    class Checked(Record):
+        __slots__ = ("n",)
+
+        def __init__(self, n):
+            if n < 0:
+                raise UsageError("n must be >= 0")
+            object.__setattr__(self, "n", n)
+
+    assert Checked(3).n == 3
+    with pytest.raises(UsageError):
+        Checked(-1)
+    with pytest.raises(UsageError):
+        Sphere(0)
 
 
 def test_values_of_different_types_differ():
