@@ -12,7 +12,6 @@ from .abelian import (
     GroupElement,
     GroupHom,
     Subgroup,
-    compose_homs,
     smith_normal_form,
 )
 from .coincidence import (
@@ -74,7 +73,6 @@ __all__ = [
     "boundary_kernel",
     "classify_projective_pair",
     "classify_sphere_pair",
-    "compose_homs",
     "exclusivity_violations",
     "filtration_subgroup",
     "full_filtration_shortcut",

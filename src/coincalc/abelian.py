@@ -688,16 +688,6 @@ class GroupHom(Record):
         )
 
 
-def compose_homs(*homs: GroupHom) -> GroupHom:
-    """Compose left-to-right: ``compose_homs(f, g)`` is ``g`` after ``f``."""
-    if not homs:
-        raise UsageError("nothing to compose")
-    result = homs[0]
-    for h in homs[1:]:
-        result = h @ result
-    return result
-
-
 # ---------------------------------------------------------------------------
 # subgroups
 

@@ -243,9 +243,6 @@ class ExactnessCheck(Record):
 
 
 def _frame_projection(db: Database, k: str, m: int, n_prime: int) -> GroupHom | None:
-    rec = db.stiefel_projection_record(k, m, n_prime)
-    if rec is not None:
-        return rec
     if k == "R" and (n_prime + 1) % 2 == 0 and m >= 3:
         # split Stiefel manifold: projection kills the fiber summand
         return db.stiefel_splitting(m, n_prime + 1).projections[1]
@@ -277,17 +274,11 @@ def validate_exactness(db: Database, k: str, m: int, n_prime: int) -> ExactnessC
 
 
 def exactness_report(db: Database) -> list[ExactnessCheck]:
-    """Run every exactness instance the database can express.
-
-    K = R instances with odd n' come for free from the split Stiefel
-    manifold; all other instances need explicit projection records.
-    """
+    """Run every exactness instance the database can express: the K = R
+    instances with odd n', whose Stiefel manifold splits."""
     checks = []
     rng = db.range
     for n_prime in range(3, rng.n_max + 1, 2):
         for m in range(n_prime, n_prime + rng.stem_max):
             checks.append(validate_exactness(db, "R", m, n_prime))
-    for rec in db.hom_records():
-        if rec.kind == "stiefel_projection":
-            checks.append(validate_exactness(db, rec.field, rec.m, rec.n))
     return checks

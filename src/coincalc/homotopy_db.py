@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .abelian import DirectSum, FgAbGroup, GroupHom, Record, compose_homs
+from .abelian import DirectSum, FgAbGroup, GroupHom, Record
 from .errors import DataError, GapError, UsageError
 from .trace import Trace
 
@@ -37,13 +37,7 @@ FIELD_DIM = {"R": 1, "C": 2, "H": 4}
 TRIVIAL_GROUP = FgAbGroup.trivial()
 DEGREE_GROUP = FgAbGroup.free(1, ("i",))
 
-HOM_KINDS = (
-    "suspension",
-    "stable_suspension",
-    "boundary",
-    "antipodal",
-    "stiefel_projection",
-)
+HOM_KINDS = ("suspension", "boundary", "antipodal")
 
 
 def field_dim(k: str) -> int:
@@ -57,8 +51,8 @@ class SphereGroupRecord(Record):
 
 
 class StructureHomRecord(Record):
-    """``field`` is R/C/H for boundary and stiefel_projection records;
-    ``n`` is n for sphere-indexed kinds and n' for K-indexed kinds."""
+    """``field`` is R/C/H for boundary records and ``None`` otherwise;
+    ``n`` is n for sphere-indexed kinds and n' for boundary records."""
 
     __slots__ = ("kind", "field", "m", "n", "hom", "provenance")
 
@@ -146,14 +140,6 @@ class Database:
             raise GapError(f"pi_{m}(S^{n}) is not in the database")
         return rec.group
 
-    def stable_stem(self, k: int) -> FgAbGroup:
-        if k < 0:
-            return TRIVIAL_GROUP
-        n = self._range.n_max
-        if k > self._range.stem_max:
-            raise GapError(f"stable stem {k} is beyond the database window")
-        return self.pi_sphere(n + k, n)
-
     # -- suspensions ----------------------------------------------------------
 
     def suspension(self, m: int, n: int, trace: Trace | None = None) -> GroupHom:
@@ -171,22 +157,6 @@ class Database:
             raise GapError(f"no suspension record for pi_{m}(S^{n})")
         Trace.note(trace, "suspension-record")
         return rec.hom
-
-    def stable_suspension(self, m: int, n: int, trace: Trace | None = None) -> GroupHom:
-        """Composite suspension pi_m(S^n) -> stable stem ``m - n``."""
-        rec = self._homs.get(("stable_suspension", None, m, n))
-        if rec is not None:
-            Trace.note(trace, "stable-suspension-record")
-            return rec.hom
-        composite = self._suspension_composite(m, n, trace)
-        return composite or self.pi_sphere(m, n).identity_hom()
-
-    def _suspension_composite(self, m: int, n: int, trace: Trace | None = None):
-        """Suspensions composed up to ``n_max``; ``None`` when ``n >= n_max``
-        leaves nothing to compose."""
-        steps = range(self._range.n_max - n)
-        homs = [self.suspension(m + i, n + i, trace) for i in steps]
-        return compose_homs(*homs) if homs else None
 
     # -- antipodal actions ------------------------------------------------------
 
@@ -212,14 +182,10 @@ class Database:
         Trace.note(trace, "antipodal-record")
         return rec.hom
 
-    # -- boundary and projection records ------------------------------------------
+    # -- boundary records ----------------------------------------------------------
 
     def boundary_record(self, k: str, m: int, n_prime: int) -> GroupHom | None:
         rec = self._homs.get(("boundary", k, m, n_prime))
-        return rec.hom if rec else None
-
-    def stiefel_projection_record(self, k: str, m: int, n_prime: int) -> GroupHom | None:
-        rec = self._homs.get(("stiefel_projection", k, m, n_prime))
         return rec.hom if rec else None
 
     # -- Stiefel manifolds --------------------------------------------------------
@@ -273,18 +239,17 @@ def _records(raw: dict, key: str) -> list[dict]:
     return recs
 
 
-def _parse_group(obj, where: str, prefix: str = "") -> FgAbGroup:
-    """The group in ``obj``'s fields ``{prefix}free_rank``,
-    ``{prefix}torsion`` and, unprefixed only, ``labels``."""
-    free_rank = obj.get(prefix + "free_rank")
-    _require(_is_int(free_rank), f"{where}: {prefix}free_rank must be an integer")
-    torsion = obj.get(prefix + "torsion")
+def _parse_group(obj, where: str) -> FgAbGroup:
+    """The group in ``obj``'s fields ``free_rank``, ``torsion`` and ``labels``."""
+    free_rank = obj.get("free_rank")
+    _require(_is_int(free_rank), f"{where}: free_rank must be an integer")
+    torsion = obj.get("torsion")
     _require(
         isinstance(torsion, list) and all(_is_int(t) for t in torsion),
-        f"{where}: {prefix}torsion must be a list of integers",
+        f"{where}: torsion must be a list of integers",
     )
     labels = None
-    if not prefix and "labels" in obj:
+    if "labels" in obj:
         labels = obj["labels"]
         _require(
             isinstance(labels, list) and all(isinstance(x, str) for x in labels),
@@ -421,17 +386,13 @@ def _parse_hom(db: Database, i: int, rec: dict) -> StructureHomRecord:
              f"{name} ({m}): provenance required")
     matrix = _parse_matrix(rec.get("matrix"), f"{name} (m={m})")
     try:
-        if kind in ("suspension", "stable_suspension", "antipodal"):
+        if kind in ("suspension", "antipodal"):
             _require("K" not in rec, f"{name} (m={m}): K not allowed")
             n = rec.get("n")
             _require(_is_int(n), f"{name} (m={m}): n must be an integer")
             where = f"{kind} ({m},{n})"
-            if kind == "suspension":
-                dom, cod = db.pi_sphere(m, n), db.pi_sphere(m + 1, n + 1)
-            elif kind == "antipodal":
-                dom = cod = db.pi_sphere(m, n)
-            else:
-                dom, cod = db.pi_sphere(m, n), db.stable_stem(m - n)
+            dom = db.pi_sphere(m, n)
+            cod = db.pi_sphere(m + 1, n + 1) if kind == "suspension" else dom
         else:
             _require(k in FIELDS, f"{name} (m={m}): K must be R, C or H")
             n = rec.get("nprime")
@@ -439,12 +400,8 @@ def _parse_hom(db: Database, i: int, rec: dict) -> StructureHomRecord:
                      f"{name} (m={m}): nprime must be an integer >= 2")
             where = f"{kind} ({k},{m},{n})"
             d = FIELD_DIM[k]
-            if kind == "boundary":
-                dom = db.pi_sphere(m, d * n + d - 1)
-                cod = db.pi_sphere(m - 1, d * n - 1)
-            else:  # stiefel_projection
-                dom = _parse_group(rec, where, "domain_")
-                cod = db.pi_sphere(m, d * n + d - 1)
+            dom = db.pi_sphere(m, d * n + d - 1)
+            cod = db.pi_sphere(m - 1, d * n - 1)
         hom = GroupHom(dom, cod, matrix)
     except (UsageError, GapError) as exc:
         # a bad matrix, or a cell the sphere records do not cover
@@ -453,7 +410,7 @@ def _parse_hom(db: Database, i: int, rec: dict) -> StructureHomRecord:
 
 
 def _validate_structure(db: Database):
-    """Freudenthal, involution and consistency checks on stored homs."""
+    """Freudenthal and involution checks on stored homs."""
     for rec in db.hom_records():
         if rec.kind == "suspension":
             m, n = rec.m, rec.n
@@ -482,16 +439,6 @@ def _validate_structure(db: Database):
                         f"antipodal ({m},{n}): disagrees with the stable-range "
                         f"action"
                     )
-        elif rec.kind == "stable_suspension":
-            try:
-                composite = db._suspension_composite(rec.m, rec.n)
-            except GapError:
-                composite = None
-            if composite is not None and composite != rec.hom:
-                raise DataError(
-                    f"stable_suspension ({rec.m},{rec.n}): disagrees with the "
-                    f"composite of stored suspensions"
-                )
 
 
 # packaged default database -------------------------------------------------

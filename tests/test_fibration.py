@@ -17,6 +17,8 @@ from coincalc.fibration import (
     validate_exactness,
 )
 
+from coincalc.homotopy_db import load_database
+
 from conftest import intersection, write_db
 
 
@@ -168,25 +170,18 @@ def test_exactness_unverifiable_without_projection(db):
     assert chk.status == "unverifiable"
 
 
-def test_exactness_with_seeded_projection_record(tmp_path, db_doc):
-    # synthetic frame-bundle projection for (R, 9, 6): domain C2 x C2,
-    # image <12> = ker(boundary); exactness should then verify
+def test_exactness_fails_on_a_wrong_boundary_record(db, tmp_path, db_doc):
+    # V_{4,2}(R) splits, so im(p_*) is all of pi_7(S^3) = C2 and the
+    # boundary, read off the section, is zero
+    assert validate_exactness(db, "R", 7, 3).status == "ok"
+    # a boundary record C2 -> pi_6(S^2) = C12 hitting 6 kills nothing
     db_doc["homs"].append(
-        {"kind": "stiefel_projection", "K": "R", "m": 9, "nprime": 6,
-         "domain_free_rank": 0, "domain_torsion": [2, 2],
-         "matrix": [[12, 0]], "provenance": "synthetic test record"}
+        {"kind": "boundary", "K": "R", "m": 7, "nprime": 3,
+         "matrix": [[6]], "provenance": "synthetic test record"}
     )
-    from coincalc.homotopy_db import load_database
-
-    db2 = load_database(write_db(tmp_path, db_doc))
-    chk = validate_exactness(db2, "R", 9, 6)
-    assert chk.status == "ok"
-    # and a wrong image is reported as a failure naming the instance
-    db_doc["homs"][-1]["domain_torsion"] = [2, 4]
-    db_doc["homs"][-1]["matrix"] = [[0, 6]]  # image <6>, not ker(boundary)
-    db3 = load_database(write_db(tmp_path, db_doc, "db3.json"))
-    chk3 = validate_exactness(db3, "R", 9, 6)
-    assert chk3.status == "fail"
+    chk = validate_exactness(load_database(write_db(tmp_path, db_doc)), "R", 7, 3)
+    assert (chk.status, chk.instance) == ("fail", "(K=R, m=7, n'=3)")
+    assert chk.detail == "im(p_*) = C2 but ker(boundary) = 0"
 
 
 def test_exactness_report_all_ok(db):

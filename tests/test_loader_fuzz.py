@@ -63,7 +63,7 @@ for _path in _paths(DOCUMENT):
 
 KEYS = st.sampled_from(sorted(
     {key for path in _paths(DOCUMENT) for key in path if isinstance(key, str)}
-    | {"K", "nprime", "domain_free_rank", "domain_torsion", "extra"}
+    | {"K", "nprime", "extra"}
 )) | st.text(max_size=3)
 SCALARS = (st.none() | st.booleans() | st.integers(-2, 30)
            | st.sampled_from([2**70, 0.5, 3.0, "", "R", "boundary", FORMAT])
