@@ -182,10 +182,12 @@ def _space_from_args(args) -> coincidence.Space:
 
 
 def _target(args):
-    """The space of a space command, its family and the payload head."""
-    space = _space_from_args(args)
-    family = coincidence.family_of(space)
-    return space, family, {"space": family.payload(space), "m": args.m}
+    """The space a space command's rules read, their family and the
+    payload head, which names the space as given."""
+    given = _space_from_args(args)
+    family, space = coincidence.rules_for(given, args.m)
+    payload = coincidence.family_of(given).payload(given)
+    return space, family, {"space": payload, "m": args.m}
 
 
 def _parse_pair(db, family, space, args, trace):

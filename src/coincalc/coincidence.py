@@ -433,10 +433,21 @@ def _fixed(a: GroupHom) -> Subgroup:
     ]).kernel()
 
 
+def _sphere_of_kp1(k: str, n_prime: int, m: int) -> Sphere | None:
+    """S^d when maps S^m -> KP(n') are maps into a sphere: KP(1) is S^d
+    (RP(1) = S^1, CP(1) = S^2, HP(1) = S^4), answered as that sphere from
+    m = 2 on.  At m = 1 KP(1) stays with the projective rules, which
+    refuse it."""
+    return Sphere(field_dim(k)) if n_prime == 1 and m >= 2 else None
+
+
 def classify_projective_pair(
     db: Database, k: str, m: int, n_prime: int, x1, x2,
     trace: Trace | None = None,
 ) -> CoincidenceVerdict:
+    sphere = _sphere_of_kp1(k, n_prime, m)
+    if sphere is not None:
+        return classify_sphere_pair(db, m, sphere.n, x1, x2, trace)
     return ProjectiveClassifier(db, k, m, n_prime, trace).classify(x1, x2)
 
 
@@ -740,6 +751,14 @@ def family_of(space: Space) -> TargetFamily:
     return family
 
 
+def rules_for(space: Space, m: int) -> tuple[TargetFamily, Space]:
+    """The family whose rules answer for maps S^m -> ``space``, and the
+    space they read: ``space`` itself, or S^d for KP(1) with m >= 2."""
+    if isinstance(space, ProjectiveSpace):
+        space = _sphere_of_kp1(space.k, space.n_prime, m) or space
+    return family_of(space), space
+
+
 # ---------------------------------------------------------------------------
 # the questions, for any supported target
 
@@ -753,14 +772,16 @@ def loose_pair(
     For Grassmannians of even rank the answer does not depend on the
     classes at all.
     """
-    return family_of(space).loose(db, space, m, x1, x2, trace)
+    family, space = rules_for(space, m)
+    return family.loose(db, space, m, x1, x2, trace)
 
 
 def pi_punctured(db: Database, space: Space, m: int,
                  trace: Trace | None = None) -> Subgroup:
     """Classes of maps that miss a point of the target: the classes
     loose against every constant map."""
-    return family_of(space).punctured(db, space, m, trace)
+    family, space = rules_for(space, m)
+    return family.punctured(db, space, m, trace)
 
 
 def filtration_subgroup(db: Database, space: Space, m: int, q,
@@ -768,7 +789,7 @@ def filtration_subgroup(db: Database, space: Space, m: int, q,
     """The stage-q subgroup of classes extending to q pairwise
     coincidence-free maps; q = inf gives the stabilized subgroup."""
     q = _check_q(q)
-    family = family_of(space)
+    family, space = rules_for(space, m)
     stage = min(q, family.stabilized_at)
     sub = db.memo(("filtration", space, m, stage), trace,
                   lambda t: family.stage(db, space, m, stage, t))
@@ -780,4 +801,5 @@ def transfer_isomorphism(db: Database, space: Space, m: int,
     """The isomorphism of (stage-2 filtration)/(punctured classes) that
     swaps the roles of the two maps in a loose pair, expressed as an
     endomorphism of the canonical quotient."""
-    return family_of(space).transfer(db, space, m, trace)
+    family, space = rules_for(space, m)
+    return family.transfer(db, space, m, trace)

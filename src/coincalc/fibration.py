@@ -25,7 +25,7 @@ record or is reported as a gap.
 
 from __future__ import annotations
 
-from .abelian import GroupElement, GroupHom, Record, Subgroup
+from .abelian import GroupHom, Record, Subgroup
 from .errors import GapError, UsageError
 from .homotopy_db import TRIVIAL_GROUP, Database, field_dim
 from .trace import Trace
@@ -69,22 +69,12 @@ class ProjectiveHomotopyGroup(Record):
 
     ``sphere_group`` is pi_m(S^{n+d-1}) and ``c_group`` is
     pi_{m-1}(S^{d-1}).  ``lift_injection`` is induced by the bundle
-    projection p and is injective; ``c_injection`` embeds the classes
-    that miss a point.
+    projection p and is injective, with left inverse ``lift_projection``;
+    ``c_injection`` embeds the classes that miss a point.
     """
 
     __slots__ = ("space", "m", "total", "sphere_group", "c_group", "lift_injection",
-                 "c_injection", "lift_projection", "c_projection")
-
-    def split(self, elem: GroupElement) -> "HomotopyClass":
-        if elem.group != self.total:
-            raise UsageError("element does not live in pi_m of this space")
-        return HomotopyClass(
-            space=self.space,
-            m=self.m,
-            lift_component=self.lift_projection(elem),
-            c_component=self.c_projection(elem),
-        )
+                 "c_injection", "lift_projection")
 
     def c_subgroup(self) -> Subgroup:
         return self.c_injection.image()
@@ -128,7 +118,6 @@ def _pi_projective(
         lift_injection=ds.injections[0],
         c_injection=ds.injections[1],
         lift_projection=ds.projections[0],
-        c_projection=ds.projections[1],
     )
 
 

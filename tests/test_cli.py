@@ -324,6 +324,50 @@ def test_an_empty_db_path_is_unreadable(capsys, monkeypatch):
 # --- output discipline ------------------------------------------------------------------------
 
 
+# --- KP(1) is the sphere S^d ----------------------------------------------------------
+
+KP1_REFUSALS = {
+    "pi": "pi_m(KP(n')) is computed for m, n' >= 2 only",
+    "classifier": "the projective classification needs m, n' >= 2 "
+                  "(KP(1) and m = 1 reduce to the sphere rules)",
+}
+
+
+def _kp1_tails(capsys, d, m):
+    """Command heads and tails for every question about maps S^m -> S^d;
+    the pairs are drawn from the zero class and the generators of pi_m."""
+    code, doc, _ = run_machine(capsys, "pi-space", "--space", "sphere",
+                               "--n", str(d), "--m", str(m))
+    tails = [("pi-space",)] + [("filtration", "--q", q) for q in ("1", "2", "3", "inf")]
+    if code == EXIT_OK:
+        group = doc["payload"]["group"]
+        ngens = group["free_rank"] + len(group["torsion"])
+        classes = [",".join(str(int(i == j)) for j in range(ngens)) or "()"
+                   for i in range(-1, ngens)]
+        tails += [(cmd, "--f1", f1, "--f2", f2) for cmd in ("classify", "loose")
+                  for f1 in classes for f2 in classes]
+    return tails
+
+
+def test_kp1_answers_as_its_sphere_from_m_2(capsys, db):
+    # the golden corpus window: m up to the lift sphere S^{2d-1} plus stem_max
+    for fam, d in (("rp", 1), ("cp", 2), ("hp", 4)):
+        for m in range(1, 2 * d - 1 + db.range.stem_max + 1):
+            for cmd, *rest in _kp1_tails(capsys, d, m):
+                code, doc, _ = run_machine(capsys, cmd, "--space", fam, "--nprime", "1",
+                                           "--m", str(m), *rest)
+                if m == 1:
+                    kind = "classifier" if cmd == "filtration" and rest[-1] != "1" else "pi"
+                    assert (code, doc["message"]) == (EXIT_ERROR, KP1_REFUSALS[kind])
+                    continue
+                s_code, s_doc, _ = run_machine(capsys, cmd, "--space", "sphere",
+                                               "--n", str(d), "--m", str(m), *rest)
+                if doc["status"] == "ok":
+                    assert doc["payload"].pop("space")["family"] == fam
+                    assert s_doc["payload"].pop("space")["family"] == "sphere"
+                assert (code, doc) == (s_code, s_doc), (fam, m, cmd, rest)
+
+
 def test_machine_output_roundtrip_and_determinism(capsys):
     argv = ["classify", "--space", "rp", "--nprime", "6", "--m", "9",
             "--f1", "1", "--f2", "0"]

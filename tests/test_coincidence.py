@@ -179,8 +179,41 @@ def test_projective_preconditions(db):
     g = FgAbGroup.trivial()
     with pytest.raises(UsageError):
         classify_projective_pair(db, "R", 1, 6, g.zero(), g.zero())
-    with pytest.raises(UsageError):
-        classify_projective_pair(db, "R", 9, 1, g.zero(), g.zero())
+    # RP(1) is the circle, whose pi_9 is trivial: the pair is loose
+    v = classify_projective_pair(db, "R", 9, 1, g.zero(), g.zero())
+    assert v == classify_sphere_pair(db, 9, 1, g.zero(), g.zero())
+    assert v.loose
+    z = FgAbGroup.free(1).zero()
+    with pytest.raises(UsageError, match=r"needs m, n' >= 2 \(KP\(1\) and m = 1"):
+        classify_projective_pair(db, "R", 1, 1, z, z)
+
+
+def _answer(call, *args):
+    """What ``call(*args)`` returns, or the kind and text of its refusal."""
+    try:
+        return call(*args)
+    except (GapError, UsageError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("k, m", [("R", 5), ("C", 4), ("C", 6), ("H", 7), ("H", 10)])
+def test_kp1_library_calls_answer_as_the_sphere(db, k, m):
+    kp1 = ProjectiveSpace(k, 1)
+    sphere = Sphere(kp1.dimension)
+    group = db.pi_sphere(m, sphere.n)
+    classes = list(group.enumerate_torsion_part()) if not group.free_rank else [
+        group.zero(), group.element([1] + [0] * (group.ngens - 1))]
+    for x1 in classes:
+        for x2 in classes:
+            assert (_answer(classify_projective_pair, db, k, m, 1, x1, x2)
+                    == _answer(classify_sphere_pair, db, m, sphere.n, x1, x2))
+            assert (_answer(loose_pair, db, kp1, m, x1, x2)
+                    == _answer(loose_pair, db, sphere, m, x1, x2))
+    for q in (1, 2, 3, inf):
+        assert (_answer(filtration_subgroup, db, kp1, m, q)
+                == _answer(filtration_subgroup, db, sphere, m, q))
+    for call in (pi_punctured, transfer_isomorphism):
+        assert _answer(call, db, kp1, m) == _answer(call, db, sphere, m)
 
 
 # --- loose_pair across families ----------------------------------------------------------

@@ -76,11 +76,15 @@ def test_pi_projective_preconditions(db):
 
 
 def test_split_roundtrip(db):
-    pg = pi_projective(db, "C", 7, 2)  # pi_7(S^5) + pi_6(S^1) = C2
-    for e in pg.total.enumerate_torsion_part():
-        h = pg.split(e)
-        back = pg.lift_injection(h.lift_component) + pg.c_injection(h.c_component)
-        assert back == e
+    pg = pi_projective(db, "H", 11, 2)  # pi_11(S^11) + pi_10(S^3) = Z + C15
+    for a in (-2, 0, 3):
+        z = pg.sphere_group.element([a])
+        for y in pg.c_group.enumerate_torsion_part():
+            e = pg.lift_injection(z) + pg.c_injection(y)
+            assert pg.lift_projection(e) == z
+            assert e - pg.lift_injection(z) == pg.c_injection(y)
+    assert all(pg.c_injection(y).is_zero == y.is_zero
+               for y in pg.c_group.enumerate_torsion_part())
 
 
 # --- boundary synthesis -------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from coincalc.abelian import FgAbGroup
 from coincalc.errors import DataError, GapError, UsageError
 from coincalc.homotopy_db import (
+    HOM_KINDS,
     SCHEMA_PATH,
     build_database,
     load_database,
@@ -31,6 +32,13 @@ def test_shipped_db_matches_schema(raw_db_doc):
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(SCHEMA_PATH.read_text("utf-8"))
     jsonschema.validate(raw_db_doc, schema)
+
+
+def test_schema_kinds_are_the_loader_kinds():
+    # the format declares its hom kinds twice: in the schema and in HOM_KINDS
+    schema = json.loads(SCHEMA_PATH.read_text("utf-8"))
+    kinds = schema["properties"]["homs"]["items"]["properties"]["kind"]["enum"]
+    assert tuple(kinds) == HOM_KINDS
 
 
 def test_bad_divisibility_chain_rejected(tmp_path, db_doc):
