@@ -321,9 +321,6 @@ def test_an_empty_db_path_is_unreadable(capsys, monkeypatch):
     assert cli._loaded is None
 
 
-# --- output discipline ------------------------------------------------------------------------
-
-
 # --- KP(1) is the sphere S^d ----------------------------------------------------------
 
 KP1_REFUSALS = {
@@ -366,6 +363,9 @@ def test_kp1_answers_as_its_sphere_from_m_2(capsys, db):
                     assert doc["payload"].pop("space")["family"] == fam
                     assert s_doc["payload"].pop("space")["family"] == "sphere"
                 assert (code, doc) == (s_code, s_doc), (fam, m, cmd, rest)
+
+
+# --- output discipline ------------------------------------------------------------------------
 
 
 def test_machine_output_roundtrip_and_determinism(capsys):

@@ -396,7 +396,7 @@ def _set_suspension_matrix(m, n, matrix):
     (lambda doc: doc["homs"][0].update(K=None), r"^homs\[0\] suspension record \(m=3\): K not allowed$"),
     (lambda doc: next(r for r in doc["homs"] if r["kind"] == "boundary").update(nprime=1),
      r"nprime must be an integer >= 2$"),
-    # kinds format 1 no longer has, as records of them were written
+    # kinds outside HOM_KINDS, each as a well-formed record of its own shape
     (lambda doc: doc["homs"].append(
         {"kind": "stable_suspension", "m": 6, "n": 3, "matrix": [[2]],
          "provenance": "x"}),
