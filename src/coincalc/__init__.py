@@ -24,7 +24,6 @@ from .coincidence import (
     classify_sphere_pair,
     exclusivity_violations,
     filtration_subgroup,
-    full_filtration_shortcut,
     grassmann_all_loose,
     grassmann_pi,
     loose_pair,
@@ -33,13 +32,11 @@ from .coincidence import (
 )
 from .errors import CoincalcError, DataError, GapError, UsageError
 from .fibration import (
-    HomotopyClass,
     ProjectiveHomotopyGroup,
     ProjectiveSpace,
     boundary_hom,
     boundary_kernel,
     pi_projective,
-    stable_boundary,
     suspended_boundary_kernel,
     validate_exactness,
 )
@@ -62,7 +59,6 @@ __all__ = [
     "Grassmannian2",
     "GroupElement",
     "GroupHom",
-    "HomotopyClass",
     "ProjectiveHomotopyGroup",
     "ProjectiveSpace",
     "Space",
@@ -75,7 +71,6 @@ __all__ = [
     "classify_sphere_pair",
     "exclusivity_violations",
     "filtration_subgroup",
-    "full_filtration_shortcut",
     "grassmann_all_loose",
     "grassmann_pi",
     "load_database",
@@ -84,7 +79,6 @@ __all__ = [
     "pi_projective",
     "pi_punctured",
     "smith_normal_form",
-    "stable_boundary",
     "suspended_boundary_kernel",
     "transfer_isomorphism",
     "validate_exactness",

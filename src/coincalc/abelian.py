@@ -402,15 +402,15 @@ class FgAbGroup(Record, compare=("free_rank", "torsion")):
     def generators(self) -> list["GroupElement"]:
         return [self.generator(i) for i in range(self.ngens)]
 
-    def enumerate_torsion_part(self, cap: int = ENUMERATION_CAP):
+    def enumerate_torsion_part(self):
         """Yield every torsion element (free coordinates zero).
 
-        Oracle helper; refuses groups with more than ``cap`` torsion
-        elements.
+        Oracle helper; refuses groups with more than ``ENUMERATION_CAP``
+        torsion elements.
         """
-        if prod(self.torsion) > cap:
+        if prod(self.torsion) > ENUMERATION_CAP:
             raise UsageError(
-                f"torsion part too large to enumerate (> {cap} elements)"
+                f"torsion part too large to enumerate (> {ENUMERATION_CAP} elements)"
             )
         zeros = (0,) * self.free_rank
         for combo in itertools.product(*(range(t) for t in self.torsion)):
@@ -692,14 +692,18 @@ class GroupHom(Record):
 # subgroups
 
 
-class Subgroup:
+class Subgroup(Record):
     """A finitely generated subgroup of an ambient group.
 
     The generating set together with the ambient relations spans a
     lattice; one Smith normal form of that span yields the membership
-    test, the canonical (isomorphism-invariant) form, and canonical
-    generators expressed back in ambient coordinates.
+    test, the canonical (isomorphism-invariant) form ``canonical_form``,
+    and ``canonical_generators`` realizing it in ambient coordinates.
+    Equality is equality of subgroups, whatever the generating sets.
     """
+
+    __slots__ = ("ambient", "generators", "canonical_form", "canonical_generators",
+                 "_span", "_to_canonical")
 
     def __init__(self, ambient: FgAbGroup, generators=()):
         gens = []
@@ -709,52 +713,41 @@ class Subgroup:
             if g.group != ambient:
                 raise UsageError("generator lies outside the ambient group")
             gens.append(g)
-        self._ambient = ambient
-        self._generators = tuple(gens)
         rel = ambient.relation_columns()
-        self._span = _lattice([list(g.coords) for g in gens] + rel, ambient.ngens)
-        span = self._span
+        span = _lattice([list(g.coords) for g in gens] + rel, ambient.ngens)
         # the subgroup is the span modulo the ambient relations, written in
         # the span's basis: the columns of uinv scaled by the invariant factors
-        self._canonical, self._to_canonical, from_canon = _canonicalize_presentation(
+        canonical, to_canonical, from_canon = _canonicalize_presentation(
             span.rank, [span.coefficients(c) for c in rel]
         )
         basis = [[d * row[i] for i, d in enumerate(span.diag)] for row in span.uinv]
-        self._canonical_gens = tuple(
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "canonical_form", canonical)
+        object.__setattr__(self, "canonical_generators", tuple(
             ambient.element(_mat_vec(basis, [row[i] for row in from_canon]))
-            for i in range(self._canonical.ngens)
-        )
+            for i in range(canonical.ngens)
+        ))
+        object.__setattr__(self, "_span", span)
+        object.__setattr__(self, "_to_canonical", to_canonical)
+
+    def __reduce__(self):
+        # the other slots are derived from these two
+        return Subgroup, (self.ambient, self.generators)
 
     # -- accessors -----------------------------------------------------------
 
     @property
-    def ambient(self) -> FgAbGroup:
-        return self._ambient
-
-    @property
-    def generators(self) -> tuple[GroupElement, ...]:
-        return self._generators
-
-    @property
-    def canonical_form(self) -> FgAbGroup:
-        return self._canonical
-
-    @property
-    def canonical_generators(self) -> tuple[GroupElement, ...]:
-        """Generators realizing the canonical form inside the ambient group."""
-        return self._canonical_gens
-
-    @property
     def is_trivial(self) -> bool:
-        return self._canonical.is_trivial
+        return self.canonical_form.is_trivial
 
     def order(self) -> int | float:
-        return self._canonical.order()
+        return self.canonical_form.order()
 
     # -- membership ----------------------------------------------------------
 
     def contains(self, elem: GroupElement) -> bool:
-        if elem.group != self._ambient:
+        if elem.group != self.ambient:
             raise UsageError("element lives in a different ambient group")
         return self._span.coefficients(elem.coords) is not None
 
@@ -767,10 +760,10 @@ class Subgroup:
         if not self.contains(elem):
             return None
         w = self._span.coefficients(elem.coords)
-        return self._canonical.reduce(_mat_vec(self._to_canonical, w))
+        return self.canonical_form.reduce(_mat_vec(self._to_canonical, w))
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
-        if other.ambient != self._ambient:
+        if other.ambient != self.ambient:
             raise UsageError("subgroups live in different ambient groups")
         return all(self.contains(g) for g in other.generators)
 
@@ -778,42 +771,41 @@ class Subgroup:
         if not isinstance(other, Subgroup):
             return NotImplemented
         return (
-            self._ambient == other._ambient
+            self.ambient == other.ambient
             and self.contains_subgroup(other)
             and other.contains_subgroup(self)
         )
 
     def __hash__(self):
-        return hash((self._ambient, self._canonical))
+        return hash((self.ambient, self.canonical_form))
 
     # -- constructions --------------------------------------------------------
 
     def __add__(self, other: "Subgroup") -> "Subgroup":
         if not isinstance(other, Subgroup):
             return NotImplemented
-        if other.ambient != self._ambient:
+        if other.ambient != self.ambient:
             raise UsageError("subgroups live in different ambient groups")
-        return Subgroup(self._ambient, self._generators + other._generators)
+        return Subgroup(self.ambient, self.generators + other.generators)
 
-    def enumerate_elements(self, cap: int = ENUMERATION_CAP):
+    def enumerate_elements(self):
         """Yield every element of a finite subgroup (oracle helper)."""
-        if self._canonical.free_rank:
+        canonical = self.canonical_form
+        if canonical.free_rank:
             raise UsageError("cannot enumerate an infinite subgroup")
-        if prod(self._canonical.torsion) > cap:
+        if prod(canonical.torsion) > ENUMERATION_CAP:
             raise UsageError(
-                f"subgroup too large to enumerate (> {cap} elements)"
+                f"subgroup too large to enumerate (> {ENUMERATION_CAP} elements)"
             )
-        zero = self._ambient.zero()
-        for combo in itertools.product(
-            *(range(t) for t in self._canonical.torsion)
-        ):
+        zero = self.ambient.zero()
+        for combo in itertools.product(*(range(t) for t in canonical.torsion)):
             total = zero
-            for c, g in zip(combo, self._canonical_gens):
+            for c, g in zip(combo, self.canonical_generators):
                 total = total + c * g
             yield total
 
     def __str__(self):
-        return f"{self._canonical.describe()} in {self._ambient.describe()}"
+        return f"{self.canonical_form.describe()} in {self.ambient.describe()}"
 
     def __repr__(self):
-        return f"Subgroup({self._canonical.describe()} in {self._ambient.describe()})"
+        return f"Subgroup({self.canonical_form.describe()} in {self.ambient.describe()})"

@@ -24,7 +24,6 @@ from math import inf
 from .abelian import FgAbGroup, GroupElement, GroupHom, Record, Subgroup
 from .errors import GapError, UsageError
 from .fibration import (
-    HomotopyClass,
     ProjectiveSpace,
     boundary_kernel,
     pi_projective,
@@ -50,10 +49,6 @@ class Sphere(Record):
     def dimension(self) -> int:
         return self.n
 
-    @property
-    def euler_characteristic_zero(self) -> bool:
-        return self.n % 2 == 1
-
     def __str__(self):
         return f"S^{self.n}"
 
@@ -71,11 +66,6 @@ class Grassmannian2(Record):
     @property
     def dimension(self) -> int:
         return 2 * (self.r - 2)
-
-    @property
-    def euler_characteristic_zero(self) -> bool:
-        # chi(G_{r,2}(R)) = floor(r/2) > 0 for every supported r
-        return False
 
     def __str__(self):
         return f"G({self.r},2)"
@@ -288,15 +278,11 @@ class ProjectiveClassifier:
     # class plumbing -----------------------------------------------------------
 
     def lift_component(self, x) -> GroupElement:
-        if isinstance(x, HomotopyClass):
-            if (x.space, x.m) != (self.space, self.m):
-                raise UsageError("class belongs to a different space")
-            return x.lift_component
-        if isinstance(x, GroupElement):
-            if x.group != self.pg.total:
-                raise UsageError("element does not live in pi_m of this space")
-            return self.pg.lift_projection(x)
-        raise UsageError("expected a GroupElement of pi_m or a HomotopyClass")
+        if not isinstance(x, GroupElement):
+            raise UsageError("expected a GroupElement of pi_m")
+        if x.group != self.pg.total:
+            raise UsageError("element does not live in pi_m of this space")
+        return self.pg.lift_projection(x)
 
     def freely_homotopic(self, z1: GroupElement, z2: GroupElement) -> bool:
         """Base-point-free comparison of the projected classes.
@@ -452,7 +438,7 @@ def classify_projective_pair(
 
 
 def exclusivity_violations(
-    db: Database, k: str, m: int, n_prime: int, cap: int = 10**4
+    db: Database, k: str, m: int, n_prime: int
 ) -> list[tuple[tuple, tuple, list[int]]]:
     """All lift-class pairs matched by anything other than exactly one case.
 
@@ -463,29 +449,26 @@ def exclusivity_violations(
     sphere = cls.pg.sphere_group
     if sphere.free_rank:
         raise UsageError("exclusivity check needs a finite lift group")
-    zero = cls.pg.c_group.zero()
-    classes = [HomotopyClass(cls.space, m, z, zero)
-               for z in sphere.enumerate_torsion_part(cap)]
+    classes = [(z.coords, cls.pg.lift_injection(z))
+               for z in sphere.enumerate_torsion_part()]
     bad = []
-    for h1 in classes:
-        for h2 in classes:
-            matches = cls.matching_cases(h1, h2)
+    for c1, x1 in classes:
+        for c2, x2 in classes:
+            matches = cls.matching_cases(x1, x2)
             if len(matches) != 1:
-                bad.append((h1.lift_component.coords, h2.lift_component.coords,
-                            matches))
+                bad.append((c1, c2, matches))
     return bad
 
 
-def covered_projective_instances(db: Database, max_order: int = 64) -> tuple:
+def covered_projective_instances(db: Database) -> tuple:
     """The tuple of ``(k, m, n_prime, classifier)`` for every finite
-    projective instance of order at most ``max_order`` whose complete case
-    data the database can derive; built once per ``(db, max_order)``, so
-    every caller shares its classifiers."""
-    return db.memo(("covered", max_order), None,
-                   lambda _: tuple(_covered_projective_instances(db, max_order)))
+    projective instance whose complete case data the database can derive;
+    built once per database, so every caller shares its classifiers."""
+    return db.memo(("covered",), None,
+                   lambda _: tuple(_covered_projective_instances(db)))
 
 
-def _covered_projective_instances(db: Database, max_order: int):
+def _covered_projective_instances(db: Database):
     rng = db.range
     for k in FIELDS:
         d = field_dim(k)
@@ -495,8 +478,6 @@ def _covered_projective_instances(db: Database, max_order: int):
                 try:
                     cls = ProjectiveClassifier(db, k, m, n_prime)
                     if cls.pg.total.free_rank or cls.pg.sphere_group.free_rank:
-                        continue
-                    if cls.pg.total.order() > max_order:
                         continue
                     cls.kernel()
                     cls.suspended_kernel()
@@ -535,30 +516,6 @@ def _check_q(q):
 
 
 # ---------------------------------------------------------------------------
-# shortcut criteria for a full filtration
-
-
-class ShortcutAnswer(Record):
-    __slots__ = ("applies", "clause", "detail")
-
-
-def full_filtration_shortcut(m_dim: int, space: Space) -> ShortcutAnswer:
-    """Sufficient conditions under which every filtration stage of maps
-    from the sphere S^m_dim is the whole homotopy set, decided from
-    descriptor data alone.
-
-    ``applies = False`` means "no shortcut", not "not full".
-    """
-    if space.euler_characteristic_zero:
-        return ShortcutAnswer(True, "vector-field",
-                              "target admits a nowhere-zero vector field")
-    if m_dim < space.dimension:
-        return ShortcutAnswer(True, "smaller-dimension",
-                              f"dim source {m_dim} < dim target {space.dimension}")
-    return ShortcutAnswer(False, None, "no shortcut clause applies")
-
-
-# ---------------------------------------------------------------------------
 # Grassmannians of 2-planes
 
 
@@ -571,11 +528,8 @@ def grassmann_pi(db: Database, m: int, r: int,
     if m < 3:
         raise UsageError("pi_m(G_{r,2}) is computed for m >= 3")
     rp = pi_projective(db, "R", m, r - 2, trace).total
-    r_half = r // 2
-    if r_half - 1 == 1:
-        cp = db.pi_sphere(m, 2)  # CP(1) is the 2-sphere
-    else:
-        cp = pi_projective(db, "C", m, r_half - 1, trace).total
+    family, cp_space = rules_for(ProjectiveSpace("C", r // 2 - 1), m)
+    cp = family.pi(db, cp_space, m, trace)
     Trace.note(trace, "grassmann-splitting")
     return rp.direct_sum(cp).group
 

@@ -25,7 +25,7 @@ record or is reported as a gap.
 
 from __future__ import annotations
 
-from .abelian import GroupHom, Record, Subgroup
+from .abelian import FgAbGroup, GroupHom, Record, Subgroup
 from .errors import GapError, UsageError
 from .homotopy_db import TRIVIAL_GROUP, Database, field_dim
 from .trace import Trace
@@ -55,11 +55,6 @@ class ProjectiveSpace(Record):
     def dimension(self) -> int:
         return self.n
 
-    @property
-    def euler_characteristic_zero(self) -> bool:
-        # chi(RP(odd)) = 0; chi(RP(even)) = 1; chi(CP(n')) = chi(HP(n')) = n'+1
-        return self.k == "R" and self.n_prime % 2 == 1
-
     def __str__(self):
         return f"{self.k}P({self.n_prime})"
 
@@ -78,12 +73,6 @@ class ProjectiveHomotopyGroup(Record):
 
     def c_subgroup(self) -> Subgroup:
         return self.c_injection.image()
-
-
-class HomotopyClass(Record):
-    """An element of pi_m(KP(n')) in split coordinates."""
-
-    __slots__ = ("space", "m", "lift_component", "c_component")
 
 
 def pi_projective(
@@ -125,11 +114,12 @@ def _pi_projective(
 # connecting homomorphism of the frame fibration
 
 
-def stable_boundary(db: Database, m: int, n: int, trace: Trace | None = None) -> GroupHom:
-    """Boundary pi_m(S^n) -> pi_{m-1}(S^{n-1}) of the unit tangent bundle,
-    synthesized in the stable range m < 2n - 2.
+def _stable_boundary(db: Database, dom: FgAbGroup, m: int, n: int,
+                     trace: Trace | None) -> GroupHom:
+    """Boundary ``dom`` = pi_m(S^n) -> pi_{m-1}(S^{n-1}) of the unit tangent
+    bundle for even n, synthesized in the stable range m < 2n - 2.
 
-    The map is multiplication by ``1 + (-1)^n`` transported along the
+    The map is multiplication by ``1 + (-1)^n = 2`` transported along the
     suspension identification; only its kernel is contractual, the
     overall sign is a convention.
     """
@@ -137,15 +127,9 @@ def stable_boundary(db: Database, m: int, n: int, trace: Trace | None = None) ->
         raise GapError(
             f"boundary unknown: ({m},{n}) is outside the stable range m < 2n-2"
         )
-    dom = db.pi_sphere(m, n)
-    cod = db.pi_sphere(m - 1, n - 1)
-    factor = 1 + (-1) ** n
-    if factor == 0 or dom.is_trivial or cod.is_trivial:
-        Trace.note(trace, "stable-boundary-zero")
-        return GroupHom.zero(dom, cod)
     susp = db.suspension(m - 1, n - 1, trace)
     Trace.note(trace, "stable-boundary-transport")
-    return susp.inverse() @ dom.multiplication_by(factor)
+    return susp.inverse() @ dom.multiplication_by(2)
 
 
 def boundary_hom(
@@ -179,7 +163,7 @@ def boundary_hom(
             # complex scalar multiplication sections the frame bundle
             Trace.note(trace, "boundary-section-zero")
             return GroupHom.zero(dom, cod)
-        return stable_boundary(db, m, n, trace)
+        return _stable_boundary(db, dom, m, n, trace)
     raise GapError(
         f"boundary unknown for K = {k}, m = {m}, n' = {n_prime}: no record"
     )

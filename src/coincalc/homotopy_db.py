@@ -74,7 +74,7 @@ class Database:
     ``("fixed", A)``, frame-projection images under ``("image", hom)``,
     the element sets the stable-kernel check compares under
     ``("killed", group, factor)`` and ``("elements", subgroup)``, and the
-    tuple of covered projective instances under ``("covered", max_order)``.
+    tuple of covered projective instances under ``("covered",)``.
     """
 
     def __init__(self, range_: DatabaseRange, sphere_records, hom_records):
@@ -311,6 +311,8 @@ def _unreadable(path, exc: Exception) -> DataError:
 _DOCUMENT_KEYS = ("format", "range", "sphere_groups", "homs")
 _RANGE_MINIMUM = {"n_min": 1, "n_max": 1, "stem_max": 0}
 _SPHERE_KEYS = ("m", "n", "free_rank", "torsion", "labels", "provenance")
+_SPHERE_HOM_KEYS = ("kind", "m", "n", "matrix", "provenance")
+_BOUNDARY_KEYS = ("kind", "K", "m", "nprime", "matrix", "provenance")
 
 
 def build_database(raw: dict) -> Database:
@@ -388,6 +390,7 @@ def _parse_hom(db: Database, i: int, rec: dict) -> StructureHomRecord:
     try:
         if kind in ("suspension", "antipodal"):
             _require("K" not in rec, f"{name} (m={m}): K not allowed")
+            _known_keys(rec, _SPHERE_HOM_KEYS, f"{name} (m={m})")
             n = rec.get("n")
             _require(_is_int(n), f"{name} (m={m}): n must be an integer")
             where = f"{kind} ({m},{n})"
@@ -395,6 +398,7 @@ def _parse_hom(db: Database, i: int, rec: dict) -> StructureHomRecord:
             cod = db.pi_sphere(m + 1, n + 1) if kind == "suspension" else dom
         else:
             _require(k in FIELDS, f"{name} (m={m}): K must be R, C or H")
+            _known_keys(rec, _BOUNDARY_KEYS, f"{name} (m={m})")
             n = rec.get("nprime")
             _require(_is_int(n) and n >= 2,
                      f"{name} (m={m}): nprime must be an integer >= 2")

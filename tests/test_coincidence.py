@@ -18,7 +18,6 @@ from coincalc.coincidence import (
     classify_sphere_pair,
     exclusivity_violations,
     filtration_subgroup,
-    full_filtration_shortcut,
     grassmann_all_loose,
     grassmann_pi,
     loose_pair,
@@ -374,24 +373,83 @@ def test_circle_target_filtration_full(db):
     assert filtration_subgroup(db, Sphere(1), 5, 3).subgroup.is_trivial
 
 
-# --- shortcut clauses --------------------------------------------------------------------------
+# --- a full filtration from descriptor data alone ------------------------------------
 
 
-def test_shortcut_smaller_dimension():
-    ans = full_filtration_shortcut(3, Sphere(6))
-    assert ans.applies and ans.clause == "smaller-dimension"
+def _window(rng_meta):
+    """Every target and source dimension of the documented window: the
+    spheres, ``KP(n')`` and even-rank ``G(r,2)`` whose spheres lie in the
+    table, with ``m`` from 1 to the top dimension plus ``stem_max``."""
+    top, stems = rng_meta.n_max, rng_meta.stem_max
+    for n in range(1, top + 1):
+        for m in range(1, n + stems + 1):
+            yield Sphere(n), m
+    for k, d in (("R", 1), ("C", 2), ("H", 4)):
+        for n_prime in range(1, (top + 1) // d):
+            for m in range(1, d * (n_prime + 1) - 1 + stems + 1):
+                yield ProjectiveSpace(k, n_prime), m
+    for r in range(4, top + 1, 2):
+        for m in range(1, r - 2 + stems + 1):
+            yield Grassmannian2(r), m
 
 
-def test_shortcut_vector_field():
-    ans = full_filtration_shortcut(9, Sphere(7))
-    assert ans.applies and ans.clause == "vector-field"
-    ans2 = full_filtration_shortcut(9, ProjectiveSpace("R", 5))
-    assert ans2.applies and ans2.clause == "vector-field"
+def _full_by_shortcut(m, space) -> bool:
+    """The oracle: the classical sufficient conditions for every filtration
+    stage of maps S^m -> ``space`` to be everything.  Either m < dim
+    ``space`` (a map can be pushed off any point by transversality), or
+    ``space`` has a nowhere-zero vector field (flowing along it separates a
+    map from itself), which among the targets here means S^n with n odd or
+    RP(n') with n' odd."""
+    if m < space.dimension:
+        return True
+    if isinstance(space, Sphere):
+        return space.n % 2 == 1
+    return isinstance(space, ProjectiveSpace) and space.k == "R" and space.n_prime % 2 == 1
 
 
-def test_shortcut_none_applies():
-    ans = full_filtration_shortcut(9, ProjectiveSpace("R", 4))
-    assert not ans.applies
+def _resolved_stages_are_whole(db, space, m) -> int:
+    """How many of the stages 1, 2, 3, inf resolve for maps S^m -> ``space``;
+    each one that does must be all of pi_m."""
+    from coincalc.coincidence import rules_for
+
+    family, rule_space = rules_for(space, m)
+    resolved = 0
+    for q in (1, 2, 3, inf):
+        try:
+            sub = filtration_subgroup(db, space, m, q).subgroup
+        except (GapError, UsageError):
+            continue
+        assert sub == family.pi(db, rule_space, m, None).whole_subgroup(), (space, m, q)
+        resolved += 1
+    return resolved
+
+
+def test_shortcut_smaller_dimension(db):
+    assert _full_by_shortcut(3, Sphere(6))
+    assert _resolved_stages_are_whole(db, Sphere(6), 3) == 4
+
+
+def test_shortcut_vector_field(db):
+    for space in (Sphere(7), ProjectiveSpace("R", 5)):
+        assert _full_by_shortcut(9, space)
+        assert _resolved_stages_are_whole(db, space, 9) == 4
+
+
+def test_shortcut_none_applies(db):
+    # RP(6) has Euler characteristic 1, and stage 2 at m = 9 is a proper
+    # subgroup: the boundary kernel C2 inside pi_9(RP(6)) = C24
+    assert not _full_by_shortcut(9, ProjectiveSpace("R", 6))
+    assert filtration_subgroup(db, ProjectiveSpace("R", 6), 9, 2).subgroup.order() == 2
+
+
+def test_shortcut_clauses_give_the_whole_group_at_every_resolved_stage(db):
+    """Over the whole window: wherever a shortcut clause holds, each stage
+    the family rules resolve is all of pi_m."""
+    cells = list(_window(db.range))
+    assert len(cells) == 527
+    held = [(space, m) for space, m in cells if _full_by_shortcut(m, space)]
+    resolved = sum(_resolved_stages_are_whole(db, space, m) for space, m in held)
+    assert (len(held), resolved) == (329, 1178)
 
 
 # --- Grassmannians --------------------------------------------------------------------------------
@@ -485,7 +543,9 @@ def test_exclusivity_over_all_covered_instances(db):
     from conftest import covered_projective_instances
 
     swept = 0
-    for k, m, n_prime, cls in covered_projective_instances(db, max_order=40):
+    for k, m, n_prime, cls in covered_projective_instances(db):
+        if cls.pg.total.order() > 40:
+            continue
         assert exclusivity_violations(db, k, m, n_prime) == [], (k, m, n_prime)
         assert cls.exclusivity_failure() is None, (k, m, n_prime)
         swept += 1
@@ -496,7 +556,7 @@ def test_exclusivity_identities_above_the_order_cap(db):
     from conftest import covered_projective_instances
 
     above = [(k, m, n_prime)
-             for k, m, n_prime, cls in covered_projective_instances(db, max_order=10**9)
+             for k, m, n_prime, cls in covered_projective_instances(db)
              if cls.pg.total.order() > 40]
     assert above == [("R", 14, 7), ("R", 16, 9), ("R", 17, 10), ("R", 18, 11),
                      ("R", 19, 12)]
@@ -515,7 +575,9 @@ def test_exclusivity_identities_reject_what_the_sweep_rejects(db, monkeypatch):
 
     real_classifier = coincidence.ProjectiveClassifier
     tried = swept_bad = identities_bad = 0
-    for k, m, n_prime, cls in covered_projective_instances(db, max_order=24):
+    for k, m, n_prime, cls in covered_projective_instances(db):
+        if cls.pg.total.order() > 24:
+            continue
         lift = cls.pg.sphere_group
         subgroups = [lift.trivial_subgroup(), lift.whole_subgroup()]
         slots = {"ker": (cls.kernel(), subgroups),
@@ -587,19 +649,19 @@ def test_hoisted_case_facts_match_the_direct_oracle(db):
     suspension cosets); on every pair of every covered instance of order
     <= 40 it must agree with the cases evaluated outright."""
     from conftest import covered_projective_instances
-    from coincalc.fibration import HomotopyClass
     from coincalc.homotopy_db import Database
 
     oracle_db = Database(db.range, db.sphere_records(), db.hom_records())
     pairs = 0
-    for k, m, n_prime, cls in covered_projective_instances(db, max_order=40):
+    for k, m, n_prime, cls in covered_projective_instances(db):
+        if cls.pg.total.order() > 40:
+            continue
         oracle = _case_oracle(oracle_db, k, m, n_prime)
-        zero = cls.pg.c_group.zero()
+        inj = cls.pg.lift_injection
         lifts = list(cls.pg.sphere_group.enumerate_torsion_part())
         for z1 in lifts:
             for z2 in lifts:
-                got = cls.matching_cases(HomotopyClass(cls.space, m, z1, zero),
-                                         HomotopyClass(cls.space, m, z2, zero))
+                got = cls.matching_cases(inj(z1), inj(z2))
                 assert got == oracle(z1, z2), (k, m, n_prime, z1.coords, z2.coords)
                 pairs += 1
     assert pairs >= 7000
@@ -619,8 +681,6 @@ def test_projective_case2_where_suspension_enlarges_the_kernel(db_doc):
     kernel, so case 2 never fires there.  Here pi_10(S^7) = C24 maps onto
     pi_9(S^5) = C2 and suspension kills that C2 (pi_10(S^6) = 0): the
     kernel is C12, the suspended kernel all of C24."""
-    from coincalc.fibration import HomotopyClass
-
     d = _with_boundary_record(db_doc, "C", 10, 3, [[1]])
     cls = ProjectiveClassifier(d, "C", 10, 3)
     assert cls.kernel().canonical_form == FgAbGroup(0, (12,))
@@ -633,11 +693,10 @@ def test_projective_case2_where_suspension_enlarges_the_kernel(db_doc):
         rules[classify_projective_pair(d, "C", 10, 3, x, x).rule] += 1
     assert rules == {"projective-case-1": 12, "projective-case-2": 12}
     oracle = _case_oracle(d, "C", 10, 3)
-    zero = cls.pg.c_group.zero()
+    inj = cls.pg.lift_injection
     for z1 in lifts:
         for z2 in lifts:
-            got = cls.matching_cases(HomotopyClass(cls.space, 10, z1, zero),
-                                     HomotopyClass(cls.space, 10, z2, zero))
+            got = cls.matching_cases(inj(z1), inj(z2))
             assert got == oracle(z1, z2), (z1.coords, z2.coords)
     assert exclusivity_violations(d, "C", 10, 3) == []
 
@@ -680,7 +739,9 @@ def test_projective_split_exactness_sweep(db):
     from conftest import covered_projective_instances, intersection
     from coincalc.fibration import pi_projective
 
-    for k, m, n_prime, cls in covered_projective_instances(db, max_order=64):
+    for k, m, n_prime, cls in covered_projective_instances(db):
+        if cls.pg.total.order() > 64:
+            continue
         pg = cls.pg
         assert pg.lift_injection.kernel().is_trivial
         im1 = pg.lift_injection.image()

@@ -406,6 +406,13 @@ def _set_suspension_matrix(m, n, matrix):
          "domain_free_rank": 0, "domain_torsion": [24], "matrix": [[1]],
          "provenance": "x"}),
      r"^homs\[\d+\]: hom record has unknown kind 'stiefel_projection'$"),
+    # each kind has its own key set
+    (lambda doc: doc["homs"][0].update(typo_matrix=[[1]]),
+     r"^homs\[0\] suspension record \(m=3\): unknown key\(s\) \['typo_matrix'\]$"),
+    (lambda doc: next(r for r in doc["homs"] if r["kind"] == "boundary").update(n=3),
+     r"^homs\[\d+\] boundary record \(m=\d+\): unknown key\(s\) \['n'\]$"),
+    (lambda doc: next(r for r in doc["homs"] if r["kind"] == "antipodal").update(nprime=3),
+     r"^homs\[\d+\] antipodal record \(m=\d+\): unknown key\(s\) \['nprime'\]$"),
 ])
 def test_malformed_document_is_a_data_error(db_doc, mutate, match):
     mutate(db_doc)

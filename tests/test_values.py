@@ -13,10 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from coincalc.abelian import FgAbGroup, GroupHom, Record
+from coincalc.abelian import FgAbGroup, GroupHom, Record, Subgroup
 from coincalc.coincidence import CoincidenceVerdict, Grassmannian2, LooseAnswer, Sphere
 from coincalc.errors import UsageError
-from coincalc.fibration import HomotopyClass, ProjectiveSpace
+from coincalc.fibration import ProjectiveSpace
 from coincalc.homotopy_db import DatabaseRange, StructureHomRecord
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -35,10 +35,9 @@ def _values():
                                CoincidenceVerdict(False, 1, 1, inf, "rule")),
         "LooseAnswer": (LooseAnswer(True, "rule"), LooseAnswer(True, "rule")),
         "DatabaseRange": (DatabaseRange(2, 12, 21), DatabaseRange(2, 12, 21)),
-        "HomotopyClass": tuple(
-            HomotopyClass(ProjectiveSpace("R", 6), 9, c24.element([5]),
-                          FgAbGroup(1).element([-2]))
-            for _ in range(2)),
+        # equal as subgroups, from different generating sets
+        "Subgroup": (Subgroup(c24, (c24.element([6]),)),
+                     Subgroup(FgAbGroup(0, (24,)), ([18], [12]))),
         "StructureHomRecord": tuple(
             StructureHomRecord("boundary", "R", 9, 6, c24.multiplication_by(5), "table")
             for _ in range(2)),
