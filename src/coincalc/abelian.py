@@ -42,7 +42,7 @@ from .errors import UsageError
 
 Matrix = tuple[tuple[int, ...], ...]
 
-#: Guard for the element-enumeration oracles; keeps them in test territory.
+#: Guard for the tests' element-enumeration oracle, ``enumerate_torsion_part``.
 ENUMERATION_CAP = 10**6
 
 
@@ -744,6 +744,12 @@ class Subgroup(Record):
     def order(self) -> int | float:
         return self.canonical_form.order()
 
+    @property
+    def is_whole(self) -> bool:
+        """Whether the subgroup is all of its ambient group.  Orders cannot
+        tell this for an infinite ambient group: 2Z has the order of Z."""
+        return self._span.spans_everything()
+
     # -- membership ----------------------------------------------------------
 
     def contains(self, elem: GroupElement) -> bool:
@@ -787,22 +793,6 @@ class Subgroup(Record):
         if other.ambient != self.ambient:
             raise UsageError("subgroups live in different ambient groups")
         return Subgroup(self.ambient, self.generators + other.generators)
-
-    def enumerate_elements(self):
-        """Yield every element of a finite subgroup (oracle helper)."""
-        canonical = self.canonical_form
-        if canonical.free_rank:
-            raise UsageError("cannot enumerate an infinite subgroup")
-        if prod(canonical.torsion) > ENUMERATION_CAP:
-            raise UsageError(
-                f"subgroup too large to enumerate (> {ENUMERATION_CAP} elements)"
-            )
-        zero = self.ambient.zero()
-        for combo in itertools.product(*(range(t) for t in canonical.torsion)):
-            total = zero
-            for c, g in zip(combo, self.canonical_generators):
-                total = total + c * g
-            yield total
 
     def __str__(self):
         return f"{self.canonical_form.describe()} in {self.ambient.describe()}"

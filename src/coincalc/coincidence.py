@@ -431,10 +431,8 @@ def classify_projective_pair(
     db: Database, k: str, m: int, n_prime: int, x1, x2,
     trace: Trace | None = None,
 ) -> CoincidenceVerdict:
-    sphere = _sphere_of_kp1(k, n_prime, m)
-    if sphere is not None:
-        return classify_sphere_pair(db, m, sphere.n, x1, x2, trace)
-    return ProjectiveClassifier(db, k, m, n_prime, trace).classify(x1, x2)
+    family, space = rules_for(ProjectiveSpace(k, n_prime), m)
+    return family.classify(db, space, m, x1, x2, trace)
 
 
 def exclusivity_violations(
@@ -616,7 +614,7 @@ class _ProjectiveSpaces(TargetFamily):
                 "nprime": space.n_prime, "dimension": space.dimension}
 
     def classify(self, db, space, m, z1, z2, trace):
-        return classify_projective_pair(db, space.k, m, space.n_prime, z1, z2, trace)
+        return ProjectiveClassifier(db, space.k, m, space.n_prime, trace).classify(z1, z2)
 
     def loose(self, db, space, m, x1, x2, trace):
         cls = ProjectiveClassifier(db, space.k, m, space.n_prime, trace)

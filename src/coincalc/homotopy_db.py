@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .abelian import DirectSum, FgAbGroup, GroupHom, Record
+from .abelian import FgAbGroup, GroupHom, Record
 from .errors import DataError, GapError, UsageError
 from .trace import Trace
 
@@ -68,13 +68,12 @@ class Database:
     this is the one list of its keys.  Instance data: ``("pi_projective",
     k, m, n')``, ``("boundary_kernel", k, m, n')``,
     ``("suspended_boundary_kernel", k, m, n')``, ``("suspension_quotient",
-    m, n)``, ``("antipodal", m, n)``, ``("filtration", space, m, stage)``
-    and ``("stiefel", m, r)``.  What ``validate-db`` reads, each keyed by
-    the value it is derived from: the kernel of ``A - 1`` under
-    ``("fixed", A)``, frame-projection images under ``("image", hom)``,
-    the element sets the stable-kernel check compares under
-    ``("killed", group, factor)`` and ``("elements", subgroup)``, and the
-    tuple of covered projective instances under ``("covered",)``.
+    m, n)``, ``("antipodal", m, n)`` and ``("filtration", space, m,
+    stage)``.  What ``validate-db`` reads, each keyed by the value it is
+    derived from: the kernel of ``A - 1`` under ``("fixed", A)``, the
+    kernel of multiplication by ``factor`` that the stable-kernel check
+    compares with under ``("killed", group, factor)``, and the tuple of
+    covered projective instances under ``("covered",)``.
     """
 
     def __init__(self, range_: DatabaseRange, sphere_records, hom_records):
@@ -187,26 +186,6 @@ class Database:
     def boundary_record(self, k: str, m: int, n_prime: int) -> GroupHom | None:
         rec = self._homs.get(("boundary", k, m, n_prime))
         return rec.hom if rec else None
-
-    # -- Stiefel manifolds --------------------------------------------------------
-
-    def stiefel_splitting(self, m: int, r: int) -> DirectSum:
-        """pi_m of the real Stiefel manifold V_{r,2} as fiber + base.
-
-        For even ``r`` the frame bundle ``S^{r-2} -> V_{r,2} -> S^{r-1}``
-        has a section (complex scalar multiplication), so the homotopy
-        sequence splits.  ``projections[1]`` is induced by sending a
-        frame to its first vector.  Built once per ``(m, r)``; a bad
-        argument raises on every call and stores nothing.
-        """
-        if r < 4 or r % 2:
-            raise UsageError(
-                "pi_m(V_{r,2}(R)) is only computed for even r >= 4"
-            )
-        if m < 3:
-            raise UsageError("pi_m(V_{r,2}(R)) is only computed for m >= 3")
-        return self.memo(("stiefel", m, r), None, lambda _: self.pi_sphere(
-            m, r - 2).direct_sum(self.pi_sphere(m, r - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +393,8 @@ def _parse_hom(db: Database, i: int, rec: dict) -> StructureHomRecord:
 
 
 def _validate_structure(db: Database):
-    """Freudenthal and involution checks on stored homs."""
+    """Freudenthal and involution checks on stored homs, then Freudenthal
+    on the groups of every pair of window cells."""
     for rec in db.hom_records():
         if rec.kind == "suspension":
             m, n = rec.m, rec.n
@@ -443,6 +423,21 @@ def _validate_structure(db: Database):
                         f"antipodal ({m},{n}): disagrees with the stable-range "
                         f"action"
                     )
+    # Freudenthal on every pair of window cells, record or not: a pair
+    # with a trivial side has no suspension record for the loop above
+    rng = db.range
+    rows = range(max(2, rng.n_min), rng.n_max) if rng.stem_max else ()
+    for n in rows:
+        for m in range(n + 1, n + rng.stem_max + 1):
+            dom, cod = db.pi_sphere(m, n), db.pi_sphere(m + 1, n + 1)
+            if m < 2 * n - 1 and dom != cod:
+                rule = "bijective in the stable range m < 2n-1"
+            elif m == 2 * n - 1 and dom.is_trivial and not cod.is_trivial:
+                rule = "surjective at m = 2n-1"
+            else:
+                continue
+            raise DataError(f"pi_{m}(S^{n}) = {dom} and pi_{m + 1}(S^{n + 1}) = "
+                            f"{cod}: suspension must be {rule}")
 
 
 # packaged default database -------------------------------------------------

@@ -160,6 +160,18 @@ def test_image_zero_hom_trivial():
     assert GroupHom.zero(g, g).image().is_trivial
 
 
+def test_is_whole_tells_a_proper_subgroup_of_equal_order():
+    z = FgAbGroup.free(1)
+    assert z.whole_subgroup().is_whole
+    two_z = z.subgroup([z.element([2])])
+    assert two_z.order() == z.order() and not two_z.is_whole
+    c24 = FgAbGroup.cyclic(24)
+    assert c24.subgroup([c24.element([5])]).is_whole
+    assert not c24.subgroup([c24.element([2])]).is_whole  # C12
+    trivial = FgAbGroup.trivial()
+    assert trivial.whole_subgroup().is_whole and trivial.trivial_subgroup().is_whole
+
+
 # --- quotients -------------------------------------------------------------------
 
 

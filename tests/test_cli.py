@@ -284,10 +284,10 @@ def test_a_failed_load_is_not_kept(capsys, tmp_path, db_doc, monkeypatch):
 
 def test_validate_db_cold_and_warm_give_the_same_bytes(capsys, monkeypatch):
     """A second call on the kept table only compares memoized values: it
-    builds no classifier, no direct sum and no group element, and prints
-    the same bytes."""
+    builds no classifier, no direct sum, no group element, no subgroup and
+    no kernel, and prints the same bytes."""
     from coincalc import cli
-    from coincalc.abelian import FgAbGroup, GroupElement
+    from coincalc.abelian import FgAbGroup, GroupElement, GroupHom, Subgroup
     from coincalc.coincidence import ProjectiveClassifier
 
     monkeypatch.setattr(cli, "_loaded", None)
@@ -296,7 +296,8 @@ def test_validate_db_cold_and_warm_give_the_same_bytes(capsys, monkeypatch):
     kept = cli._loaded
     built = []
     for owner, name in ((ProjectiveClassifier, "__init__"), (FgAbGroup, "direct_sum"),
-                        (GroupElement, "__post_init__")):
+                        (GroupElement, "__post_init__"), (Subgroup, "__init__"),
+                        (GroupHom, "kernel")):
         def counted(*args, real=getattr(owner, name), name=name, **kwargs):
             built.append(name)
             return real(*args, **kwargs)

@@ -185,6 +185,10 @@ def test_projective_preconditions(db):
     z = FgAbGroup.free(1).zero()
     with pytest.raises(UsageError, match=r"needs m, n' >= 2 \(KP\(1\) and m = 1"):
         classify_projective_pair(db, "R", 1, 1, z, z)
+    # the space is built before any rule is chosen
+    for n_prime in (0, -3):
+        with pytest.raises(UsageError, match=r"^projective space needs n' >= 1$"):
+            classify_projective_pair(db, "R", 9, n_prime, g.zero(), g.zero())
 
 
 def _answer(call, *args):

@@ -189,3 +189,27 @@ def test_exactness_report_all_ok(db):
     report = exactness_report(db)
     assert report
     assert all(c.status == "ok" for c in report)
+
+
+def test_exactness_section_argument_against_the_split_stiefel_group(db, tmp_path, db_doc):
+    """Oracle for reading im(p_*) as the whole group: pi_m(V_{n'+1,2}(R))
+    splits as fiber + base, and the projection onto the base summand has
+    the whole summand as its image, so the check decides im(p_*) = ker
+    exactly when the kernel is whole; also on two wrong boundaries, one
+    of them 2Z in Z."""
+    for m, n_prime, matrix in ((7, 3, [[6]]), (3, 3, [[2]])):
+        db_doc["homs"].append({"kind": "boundary", "K": "R", "m": m, "nprime": n_prime,
+                               "matrix": matrix, "provenance": "synthetic test record"})
+    faulty = load_database(write_db(tmp_path, db_doc))
+    for table, fails in ((db, set()), (faulty, {(7, 3), (3, 3)})):
+        report = exactness_report(table)
+        assert len(report) == 40
+        for chk in report:
+            m, n_prime = chk.m, chk.n_prime
+            split = table.pi_sphere(m, n_prime - 1).direct_sum(table.pi_sphere(m, n_prime))
+            base = split.projections[1]
+            image = base.image()
+            assert image == base.codomain.whole_subgroup()
+            ker = boundary_kernel(table, "R", m, n_prime)
+            assert ((image == ker) == ker.is_whole == (chk.status == "ok")
+                    == ((m, n_prime) not in fails))

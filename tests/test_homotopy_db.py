@@ -8,7 +8,7 @@ import re
 import pytest
 
 from coincalc.abelian import FgAbGroup
-from coincalc.errors import DataError, GapError, UsageError
+from coincalc.errors import DataError, GapError
 from coincalc.homotopy_db import (
     HOM_KINDS,
     SCHEMA_PATH,
@@ -233,28 +233,6 @@ def test_boundary_record_used_when_present(tmp_path, db_doc):
     assert not ker.contains(b.domain.element([6]))
 
 
-# --- Stiefel manifolds -------------------------------------------------------------------------
-
-
-def test_stiefel_split_values(db):
-    assert db.stiefel_splitting(3, 4).group == FgAbGroup(2, ())
-    assert db.stiefel_splitting(8, 10).group == FgAbGroup(1, ())
-    assert db.stiefel_splitting(5, 8).group.is_trivial  # m < r - 2
-    with pytest.raises(UsageError):
-        db.stiefel_splitting(3, 5)
-    with pytest.raises(UsageError):
-        db.stiefel_splitting(2, 4)
-
-
-def test_stiefel_splitting_is_built_once_and_bad_calls_always_raise(db):
-    assert db.stiefel_splitting(9, 8) is db.stiefel_splitting(9, 8)
-    assert db.stiefel_splitting(9, 8) is not db.stiefel_splitting(9, 10)
-    for _ in range(2):
-        for m, r in ((3, 5), (9, 7), (2, 4), (1, 8)):
-            with pytest.raises(UsageError):
-                db.stiefel_splitting(m, r)
-
-
 # --- structure validation at load time ------------------------------------------------------------
 
 
@@ -342,6 +320,16 @@ def _drop_sphere_key(m, n, key):
     return mutate
 
 
+def _trivial_cell_without_suspensions(m, n, dropped):
+    """Make pi_m(S^n) trivial and drop the suspension records at
+    ``dropped``, whose matrices would no longer fit."""
+    def mutate(doc):
+        _set_sphere_record(m, n, torsion=[], labels=[])(doc)
+        doc["homs"] = [r for r in doc["homs"] if not (
+            r["kind"] == "suspension" and (r["m"], r["n"]) in dropped)]
+    return mutate
+
+
 def _set_suspension_matrix(m, n, matrix):
     def mutate(doc):
         rec = next(r for r in doc["homs"]
@@ -381,6 +369,15 @@ def _set_suspension_matrix(m, n, matrix):
     # pi_5(S^3) = C2 -> pi_6(S^4) = C2 at the edge m = 2n-1
     (_set_suspension_matrix(5, 3, [[0]]),
      r"suspension \(5,3\): must be surjective at m = 2n-1"),
+    # the same theorem on pairs of cells that have no suspension record:
+    # a trivial pi_8(S^5) would answer C24 in C24 for the stage-3
+    # filtration of pi_9(S^6), where the shipped table gives C2
+    (_trivial_cell_without_suspensions(8, 5, ((7, 4), (8, 5))),
+     r"^pi_8\(S\^5\) = 0 and pi_9\(S\^6\) = C24: suspension must be "
+     r"bijective in the stable range m < 2n-1$"),
+    (_trivial_cell_without_suspensions(5, 3, ((4, 2), (5, 3))),
+     r"^pi_5\(S\^3\) = 0 and pi_6\(S\^4\) = C2: suspension must be "
+     r"surjective at m = 2n-1$"),
     # what the schema rejects is read neither as a default nor ignored
     (lambda doc: doc.update(extra=1), r"^database document: unknown key\(s\) \['extra'\]$"),
     (lambda doc: doc.update(range=None), "^range must be an object$"),

@@ -7,6 +7,7 @@ a gap is never stored; repeating a query stores nothing new.
 from __future__ import annotations
 
 import random
+import re
 import sys
 import threading
 from math import inf
@@ -235,3 +236,22 @@ def test_threads_filling_one_database_agree_with_a_fresh_one(db):
     assert sorted(results) == [0, 1, 2, 3]
     for got in results.values():
         assert got == expected
+
+
+def test_the_documented_memo_keys_are_the_stored_ones(capsys, monkeypatch):
+    """The ``Database`` docstring calls itself the one list of its memo
+    keys; a fresh table asked every command that reaches a key, then
+    ``validate-db``, stores exactly the key heads it names."""
+    from coincalc import cli
+
+    documented = set(re.findall(r'``\("(\w+)"', Database.__doc__))
+    monkeypatch.setattr(cli, "_loaded", None)
+    monkeypatch.delenv(cli.ENV_DB, raising=False)
+    for argv in (
+        ["classify", "--space", "sphere", "--n", "6", "--m", "9", "--f1", "1", "--f2", "0"],
+        ["filtration", "--space", "rp", "--nprime", "6", "--m", "9", "--q", "inf"],
+        ["validate-db"],
+    ):
+        assert cli.main(argv) == cli.EXIT_OK, argv
+    capsys.readouterr()
+    assert {key[0] for key in cli._loaded[1]._memo} == documented
