@@ -19,6 +19,7 @@ propagates instead of a guess.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import inf
 
 from .abelian import FgAbGroup, GroupElement, GroupHom, Record, Subgroup
@@ -144,6 +145,7 @@ class SphereClassifier:
         if not isinstance(z, GroupElement) or z.group != self.group:
             raise UsageError(f"class does not live in pi_{self.m}(S^{self.n})")
 
+    @cached_property
     def suspension_quotient(self) -> GroupHom:
         return _suspension_quotient(self.db, self.m, self.n, self.trace)
 
@@ -167,7 +169,7 @@ class SphereClassifier:
             k = abs(z1.coords[0] - z2.coords[0])
             Trace.note(self.trace, "circle-degree-count")
             return _verdict(k, k, k, "circle-degrees")
-        q = self.suspension_quotient()
+        q = self.suspension_quotient
         if q(z1) == q(antipode):
             Trace.note(self.trace, "sphere-suspended-difference")
             return _verdict(1, 1, 1, "sphere-suspended-difference")
@@ -200,15 +202,15 @@ _ROW_NUMBERS = {
 class ProjectiveClassifier:
     """Shared per-(K, m, n') data for classifying pairs into KP(n').
 
-    The seven cases are evaluated in listed order, fetching kernels and
-    antipodal data lazily so that cases whose hypotheses already fail do
-    not demand unavailable records.  Only the lift components of the
-    classes matter; the summand missing a point plays no role in
-    looseness questions.  One cache holds the instance data (under
-    ``"A"``, ``"ker"``, ``"ker_susp"`` and ``"coset"``) and the facts the
-    cases read about a single lift class (under ``(fact, z.coords)``:
-    kernel memberships, antipodal image, suspension coset), so a sweep
-    over all pairs does linear work in lattice solving.
+    Only the lift components of the classes matter; the summand missing a
+    point plays no role in looseness questions.  The instance data (the
+    antipodal map A on the lift group, the boundary kernel and its
+    suspended version, the projection modulo the suspension image) are
+    attributes built on first read from the database's memo; a read that
+    raises ``GapError`` stores nothing.  The seven cases are evaluated in
+    listed order and read that data lazily, each fact about the pair at
+    most once, so cases whose hypotheses already fail do not demand
+    unavailable records.
     """
 
     def __init__(self, db: Database, k: str, m: int, n_prime: int,
@@ -225,55 +227,26 @@ class ProjectiveClassifier:
         self.trace = trace
         self.pg = pi_projective(db, k, m, n_prime, trace)
         self.space = self.pg.space
-        self._cache: dict = {}
-
-    def _once(self, key, compute):
-        """``compute()`` on the first call for ``key``; a compute that
-        raises stores nothing."""
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
 
     # lazy instance data ----------------------------------------------------
 
+    @cached_property
     def antipodal(self) -> GroupHom:
         n_lift = self.space.n + self.space.d - 1
-        return self._once("A", lambda: self.db.antipodal(self.m, n_lift, self.trace))
+        return self.db.antipodal(self.m, n_lift, self.trace)
 
+    @cached_property
     def kernel(self) -> Subgroup:
-        return self._once("ker", lambda: boundary_kernel(
-            self.db, self.k, self.m, self.n_prime, self.trace
-        ))
+        return boundary_kernel(self.db, self.k, self.m, self.n_prime, self.trace)
 
+    @cached_property
     def suspended_kernel(self) -> Subgroup:
-        return self._once("ker_susp", lambda: suspended_boundary_kernel(
-            self.db, self.k, self.m, self.n_prime, self.trace
-        ))
+        return suspended_boundary_kernel(self.db, self.k, self.m, self.n_prime,
+                                         self.trace)
 
+    @cached_property
     def suspension_quotient(self) -> GroupHom:
-        return self._once("coset", lambda: _suspension_quotient(
-            self.db, self.m, self.space.n, self.trace
-        ))
-
-    # per-class facts ----------------------------------------------------------
-
-    def in_kernel(self, z: GroupElement) -> bool:
-        return self._once(("ker", z.coords), lambda: self.kernel().contains(z))
-
-    def in_suspended_kernel(self, z: GroupElement) -> bool:
-        return self._once(
-            ("ker_susp", z.coords), lambda: self.suspended_kernel().contains(z)
-        )
-
-    def antipode(self, z: GroupElement) -> GroupElement:
-        return self._once(("A", z.coords), lambda: self.antipodal()(z))
-
-    def suspension_coset(self, z: GroupElement) -> tuple[int, ...]:
-        """Label of ``z`` modulo the suspension image: ``z1 - z2`` is a
-        suspension exactly when the labels agree."""
-        return self._once(
-            ("coset", z.coords), lambda: self.suspension_quotient()(z).coords
-        )
+        return _suspension_quotient(self.db, self.m, self.space.n, self.trace)
 
     # class plumbing -----------------------------------------------------------
 
@@ -284,58 +257,59 @@ class ProjectiveClassifier:
             raise UsageError("element does not live in pi_m of this space")
         return self.pg.lift_projection(x)
 
-    def freely_homotopic(self, z1: GroupElement, z2: GroupElement) -> bool:
+    def freely_homotopic(self, z1: GroupElement, z2: GroupElement,
+                         antipode=None) -> bool:
         """Base-point-free comparison of the projected classes.
 
         For K = R the deck transformation of the double cover acts on
         lift classes through the antipodal map, so the free class is the
         orbit {z, A(z)}; CP(n') and HP(n') are simply connected.
+        ``antipode``, when given, is a callable returning A(z2), for a
+        caller that reads A(z2) itself too.
         """
         if self.k == "R":
-            return z1 == z2 or z1 == self.antipode(z2)
+            return z1 == z2 or z1 == (antipode() if antipode else self.antipodal(z2))
         return z1 == z2
 
     # the seven cases -----------------------------------------------------------
 
     def _case_predicates(self, z1: GroupElement, z2: GroupElement):
         real = self.k == "R"
+        # each fact about the pair, computed on its first read; free
+        # homotopy is case 1's first test, so it is read first anyway
+        compute = {
+            "A(z2)": lambda: self.antipodal(z2),
+            "in ker": lambda: self.kernel.contains(z2),
+            "in ker_susp": lambda: self.suspended_kernel.contains(z2),
+            "suspended difference":
+                lambda: self.suspension_quotient(z1) == self.suspension_quotient(z2),
+        }
+        known = {}
+
+        def fact(name):
+            if name not in known:
+                known[name] = compute[name]()
+            return known[name]
+
+        free = self.freely_homotopic(z1, z2, lambda: fact("A(z2)"))
 
         def case1():
-            return self.freely_homotopic(z1, z2) and self.in_kernel(z2)
+            return free and fact("in ker")
 
         def case2():
-            return (
-                self.freely_homotopic(z1, z2)
-                and self.in_suspended_kernel(z2)
-                and not self.in_kernel(z2)
-            )
+            return free and fact("in ker_susp") and not fact("in ker")
 
         def case3():
-            return (
-                real
-                and self.freely_homotopic(z1, z2)
-                and z2 != self.antipode(z2)
-            )
-
-        def suspended_difference():
-            return self.suspension_coset(z1) == self.suspension_coset(z2)
+            return real and free and z2 != fact("A(z2)")
 
         def case4():
-            return (
-                real
-                and not self.freely_homotopic(z1, z2)
-                and suspended_difference()
-            )
+            return real and not free and fact("suspended difference")
 
         def case5():
-            return real and not suspended_difference()
+            return real and not fact("suspended difference")
 
         def case6():
-            return (
-                not real
-                and z1 == z2
-                and not self.in_suspended_kernel(z2)
-            )
+            return not real and z1 == z2 and not fact("in ker_susp")
 
         def case7():
             return not real and z1 != z2
@@ -372,17 +346,17 @@ class ProjectiveClassifier:
         rows are stored reduced, so equal maps have equal matrices); no
         element is built.
         """
-        ker_susp = self.suspended_kernel()
-        if not ker_susp.contains_subgroup(self.kernel()):
+        ker_susp = self.suspended_kernel
+        if not ker_susp.contains_subgroup(self.kernel):
             return "identity (i) fails: ker is not inside ker_susp"
         if self.k != "R":
             return None
-        a = self.antipodal()
+        a = self.antipodal
         # keyed by A itself: a kernel read under (m, n') could belong to a
         # different A
         if self.db.memo(("fixed", a), self.trace, lambda _: _fixed(a)) != ker_susp:
             return "identity (ii) fails: ker_susp != ker(A - 1)"
-        q = self.suspension_quotient()
+        q = self.suspension_quotient
         if q @ a != q:
             return "identity (iii) fails: im(A - 1) is not inside the suspension image"
         return None
@@ -477,11 +451,10 @@ def _covered_projective_instances(db: Database):
                     cls = ProjectiveClassifier(db, k, m, n_prime)
                     if cls.pg.total.free_rank or cls.pg.sphere_group.free_rank:
                         continue
-                    cls.kernel()
-                    cls.suspended_kernel()
+                    # read each attribute the cases need: built here, or a gap
+                    cls.kernel, cls.suspended_kernel
                     if k == "R":
-                        cls.antipodal()
-                        cls.suspension_quotient()
+                        cls.antipodal, cls.suspension_quotient
                 except GapError:
                     continue
                 yield k, m, n_prime, cls
@@ -508,7 +481,7 @@ class FiltrationResult(Record):
 def _check_q(q):
     if q == inf:
         return inf
-    if isinstance(q, int) and q >= 1:
+    if isinstance(q, int) and not isinstance(q, bool) and q >= 1:
         return q
     raise UsageError("filtration stage q must be a positive integer or inf")
 
@@ -623,7 +596,8 @@ class _ProjectiveSpaces(TargetFamily):
         if not cls.freely_homotopic(z1, z2):
             Trace.note(trace, "projective-projections-differ")
             return LooseAnswer(False, "projective-projections-differ")
-        ans = cls.in_kernel(z1) or cls.in_kernel(z2)
+        ker = cls.kernel
+        ans = ker.contains(z1) or ker.contains(z2)
         Trace.note(trace, "projective-frame-lift-test")
         return LooseAnswer(ans, "projective-frame-lift-test")
 
@@ -637,7 +611,7 @@ class _ProjectiveSpaces(TargetFamily):
             return self.pi(db, space, m, trace).whole_subgroup()
         Trace.note(trace, "projective-filtration-collapse")
         cls = ProjectiveClassifier(db, space.k, m, space.n_prime, trace)
-        ker = cls.kernel()
+        ker = cls.kernel
         lifted = [cls.pg.lift_injection(g) for g in ker.canonical_generators]
         return Subgroup(cls.pg.total, tuple(lifted)) + cls.pg.c_subgroup()
 

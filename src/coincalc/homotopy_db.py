@@ -329,6 +329,9 @@ def build_database(raw: dict) -> Database:
         if m == n:
             _require(group.free_rank == 1 and not group.torsion,
                      f"{where}: pi_n(S^n) must be infinite cyclic")
+        if n == 1 and m >= 2:
+            _require(group.is_trivial,
+                     f"{where}: pi_m(S^1) must be trivial for m >= 2")
         _require(isinstance(rec.get("provenance"), str), f"{where}: provenance required")
         sphere_records.append(SphereGroupRecord(m, n, group, rec["provenance"]))
 
@@ -398,6 +401,11 @@ def _validate_structure(db: Database):
     for rec in db.hom_records():
         if rec.kind == "suspension":
             m, n = rec.m, rec.n
+            if m == n and rec.hom.matrix != ((1,),):
+                raise DataError(
+                    f"suspension ({m},{n}): must be [[1]] at m = n, where "
+                    f"suspension preserves the degree"
+                )
             if m < 2 * n - 1 and not rec.hom.is_bijective():
                 raise DataError(
                     f"suspension ({m},{n}): must be bijective in the stable "

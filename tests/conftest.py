@@ -67,7 +67,7 @@ def covered_sphere_instances(db):
                 # the suspension quotient is consulted only off the loose
                 # and circle branches, which need n >= 2 and classes
                 if n >= 2 and not group.is_trivial:
-                    cls.suspension_quotient()
+                    cls.suspension_quotient
             except GapError:
                 continue
             yield m, n, group, cls

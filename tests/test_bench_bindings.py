@@ -1,9 +1,8 @@
 """The names the benchmark in ``bench/`` binds in the package still exist.
 
-``bench/tracer.py`` wraps functions and methods by name, and
-``bench/answers.py`` and ``bench/snf.py`` import from ``coincalc``; a
-library change that drops one of those names breaks the benchmark, and
-these tests catch it here first.
+``bench/tracer.py`` wraps functions and methods by name, and the other
+scripts import from ``coincalc``; a library change that drops one of
+those names breaks the benchmark, and these tests catch it here first.
 """
 
 from __future__ import annotations
@@ -39,7 +38,11 @@ def test_tracer_targets_exist(mod_name, path):
     assert attr in owner.__dict__, f"coincalc.{mod_name}.{path}"
 
 
-@pytest.mark.parametrize("script", ["answers.py", "snf.py"])
+# every script under bench/ that imports from coincalc, at module level or
+# inside a function
+@pytest.mark.parametrize("script", sorted(
+    path.name for path in BENCH.glob("*.py") if "from coincalc" in path.read_text("utf-8")
+))
 def test_bench_imports_resolve(script):
     tree = ast.parse((BENCH / script).read_text("utf-8"))
     imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)

@@ -153,6 +153,20 @@ def test_projective_complex_equal_classes_need_boundary(db):
         classify_projective_pair(db, "C", 7, 2, x, x)
 
 
+def test_instance_data_that_is_a_gap_is_not_stored(db):
+    # the boundary of CP(2) at m = 7 has no record: each read of the
+    # kernel raises the same gap, and nothing is kept on the instance
+    cls = ProjectiveClassifier(db, "C", 7, 2)
+    before = dict(cls.__dict__)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(GapError, match="boundary unknown") as info:
+            cls.kernel
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert cls.__dict__ == before
+
+
 def test_projective_c_components_ignored(db):
     # CP(3) at m = 2: the whole group is the punctured summand, so all
     # pairs project to homotopic maps and lift trivially: loose
@@ -357,6 +371,9 @@ def test_filtration_q_validation(db):
         filtration_subgroup(db, Sphere(5), 9, 0)
     with pytest.raises(UsageError):
         filtration_subgroup(db, Sphere(5), 9, 2.5)
+    # a bool is an int to Python, but True is not stage 1
+    with pytest.raises(UsageError, match="positive integer or inf"):
+        filtration_subgroup(db, Sphere(4), 7, True)
 
 
 def test_even_sphere_stage3_drops_at_degree_level(db):
@@ -570,8 +587,9 @@ def test_exclusivity_identities_above_the_order_cap(db):
 
 def test_exclusivity_identities_reject_what_the_sweep_rejects(db, monkeypatch):
     """Mutants of the instance data (each kernel replaced by 0 or the whole
-    lift group, A by +1 or -1, in every combination) go into the classifier
-    cache; a mutant the pair sweep rejects must fail an identity too."""
+    lift group, A by +1 or -1, in every combination) are set on the
+    classifier's instance dictionary, where its attributes keep what they
+    built; a mutant the pair sweep rejects must fail an identity too."""
     import itertools
 
     from conftest import covered_projective_instances
@@ -584,11 +602,11 @@ def test_exclusivity_identities_reject_what_the_sweep_rejects(db, monkeypatch):
             continue
         lift = cls.pg.sphere_group
         subgroups = [lift.trivial_subgroup(), lift.whole_subgroup()]
-        slots = {"ker": (cls.kernel(), subgroups),
-                 "ker_susp": (cls.suspended_kernel(), subgroups)}
+        slots = {"kernel": (cls.kernel, subgroups),
+                 "suspended_kernel": (cls.suspended_kernel, subgroups)}
         if k == "R":
-            slots["A"] = (cls.antipodal(),
-                          [lift.identity_hom(), lift.multiplication_by(-1)])
+            slots["antipodal"] = (cls.antipodal,
+                                  [lift.identity_hom(), lift.multiplication_by(-1)])
         # the original value first, then each replacement that differs from it
         choices = [[o] + [v for v in vals if v != o] for o, vals in slots.values()]
         for combo in itertools.product(*choices):
@@ -597,7 +615,7 @@ def test_exclusivity_identities_reject_what_the_sweep_rejects(db, monkeypatch):
 
             def mutant():
                 mut = real_classifier(db, k, m, n_prime)
-                mut._cache.update(zip(slots, combo))
+                mut.__dict__.update(zip(slots, combo))
                 return mut
 
             broken = mutant().exclusivity_failure()
@@ -615,8 +633,8 @@ def test_exclusivity_identities_reject_what_the_sweep_rejects(db, monkeypatch):
 def _case_oracle(db, k, m, n_prime):
     """The seven cases evaluated outright on a pair of lift classes:
     kernels by applying the boundary, the suspension test on ``z1 - z2``
-    with ``Subgroup.contains``, nothing cached per class and no case
-    skipped."""
+    with ``Subgroup.contains``, nothing read through the classifier and
+    no case skipped."""
     from coincalc.fibration import boundary_hom
 
     n = ProjectiveSpace(k, n_prime).n
@@ -648,10 +666,12 @@ def _case_oracle(db, k, m, n_prime):
     return cases
 
 
-def test_hoisted_case_facts_match_the_direct_oracle(db):
-    """``matching_cases`` reads per-class facts (kernel memberships, A(z),
-    suspension cosets); on every pair of every covered instance of order
-    <= 40 it must agree with the cases evaluated outright."""
+def test_lazy_case_facts_match_the_direct_oracle(db):
+    """``matching_cases`` reads each fact about a pair (A(z2), free
+    homotopy, kernel memberships, the suspension test) on first use and
+    skips what a case's earlier hypotheses rule out; on every pair of
+    every covered instance of order <= 40 it must agree with the cases
+    evaluated outright."""
     from conftest import covered_projective_instances
     from coincalc.homotopy_db import Database
 
@@ -687,8 +707,8 @@ def test_projective_case2_where_suspension_enlarges_the_kernel(db_doc):
     kernel is C12, the suspended kernel all of C24."""
     d = _with_boundary_record(db_doc, "C", 10, 3, [[1]])
     cls = ProjectiveClassifier(d, "C", 10, 3)
-    assert cls.kernel().canonical_form == FgAbGroup(0, (12,))
-    assert cls.suspended_kernel().canonical_form == FgAbGroup(0, (24,))
+    assert cls.kernel.canonical_form == FgAbGroup(0, (12,))
+    assert cls.suspended_kernel.canonical_form == FgAbGroup(0, (24,))
     lifts = list(cls.pg.sphere_group.enumerate_torsion_part())
     rules = Counter()
     for z in lifts:

@@ -378,6 +378,15 @@ def _set_suspension_matrix(m, n, matrix):
     (_trivial_cell_without_suspensions(5, 3, ((4, 2), (5, 3))),
      r"^pi_5\(S\^3\) = 0 and pi_6\(S\^4\) = C2: suspension must be "
      r"surjective at m = 2n-1$"),
+    # records for cells a rule answers must agree with the rule: pi_m(S^1)
+    # is trivial for m >= 2, and suspension at m = n is the degree identity
+    (lambda doc: doc["sphere_groups"].append(
+        {"m": 3, "n": 1, "free_rank": 0, "torsion": [2], "provenance": "x"}),
+     r"^sphere_groups\[3,1\]: pi_m\(S\^1\) must be trivial for m >= 2$"),
+    (lambda doc: doc["homs"].append(
+        {"kind": "suspension", "m": 5, "n": 5, "matrix": [[-1]], "provenance": "x"}),
+     r"^suspension \(5,5\): must be \[\[1\]\] at m = n, where suspension "
+     r"preserves the degree$"),
     # what the schema rejects is read neither as a default nor ignored
     (lambda doc: doc.update(extra=1), r"^database document: unknown key\(s\) \['extra'\]$"),
     (lambda doc: doc.update(range=None), "^range must be an object$"),
