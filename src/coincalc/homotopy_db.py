@@ -60,6 +60,14 @@ class StructureHomRecord(Record):
 class DatabaseRange(Record):
     __slots__ = ("n_min", "n_max", "stem_max")
 
+    def cells(self):
+        """The window cells ``(m, n)`` no analytic rule answers, row by row;
+        none when ``stem_max`` is 0, however many rows are declared."""
+        if self.stem_max:
+            for n in range(max(2, self.n_min), self.n_max + 1):
+                for m in range(n + 1, n + self.stem_max + 1):
+                    yield m, n
+
 
 class Database:
     """Immutable lookup service; raises ``GapError`` for uncovered cells.
@@ -254,7 +262,9 @@ def load_database(path) -> Database:
     every call.
 
     Every record invariant, the declared-range closure and the
-    Freudenthal constraints are checked here; failures name the record.
+    Freudenthal constraints are checked here, and each sphere, suspension
+    and antipodal record must equal what the lookup of its cell gives;
+    failures name the record.
     """
     return build_database(decode_database(read_database(path), path))
 
@@ -324,31 +334,21 @@ def build_database(raw: dict) -> Database:
         group = _parse_group(rec, where)
         m, n = rec["m"], rec["n"]
         _require(m >= 1 and n >= 1, f"{where}: dimensions must be >= 1")
-        if m < n:
-            _require(group.is_trivial, f"{where}: pi_m(S^n) must be trivial for m < n")
-        if m == n:
-            _require(group.free_rank == 1 and not group.torsion,
-                     f"{where}: pi_n(S^n) must be infinite cyclic")
-        if n == 1 and m >= 2:
-            _require(group.is_trivial,
-                     f"{where}: pi_m(S^1) must be trivial for m >= 2")
         _require(isinstance(rec.get("provenance"), str), f"{where}: provenance required")
         sphere_records.append(SphereGroupRecord(m, n, group, rec["provenance"]))
 
     db = Database(range_, sphere_records, [])
 
     # declared window must be closed under lookups; the analytic cells
-    # (n = 1 or m = n) always are, and every row left needs records, so
+    # (n = 1 or m = n) always are, and every cell left needs a record, so
     # a huge declared window fails at its first hole instead of looping
-    rows = range(max(2, range_.n_min), range_.n_max + 1) if range_.stem_max else ()
-    for n in rows:
-        for m in range(n + 1, n + range_.stem_max + 1):
-            try:
-                db.pi_sphere(m, n)
-            except GapError:
-                raise DataError(
-                    f"range hole: pi_{m}(S^{n}) missing from the declared window"
-                ) from None
+    for m, n in range_.cells():
+        try:
+            db.pi_sphere(m, n)
+        except GapError:
+            raise DataError(
+                f"range hole: pi_{m}(S^{n}) missing from the declared window"
+            ) from None
 
     homs = _records(raw, "homs")
     hom_records = [_parse_hom(db, i, rec) for i, rec in enumerate(homs)]
@@ -396,56 +396,52 @@ def _parse_hom(db: Database, i: int, rec: dict) -> StructureHomRecord:
 
 
 def _validate_structure(db: Database):
-    """Freudenthal and involution checks on stored homs, then Freudenthal
+    """Each sphere, suspension and antipodal record read back through the
+    lookup of its cell (``boundary_hom`` reads boundary records before its
+    rules); Freudenthal and involution checks on stored homs; Freudenthal
     on the groups of every pair of window cells."""
+    for rec in db.sphere_records():
+        _read_back(f"sphere_groups[{rec.m},{rec.n}]", db.pi_sphere(rec.m, rec.n),
+                   rec.group)
     for rec in db.hom_records():
+        m, n, where = rec.m, rec.n, f"{rec.kind} ({rec.m},{rec.n})"
         if rec.kind == "suspension":
-            m, n = rec.m, rec.n
-            if m == n and rec.hom.matrix != ((1,),):
-                raise DataError(
-                    f"suspension ({m},{n}): must be [[1]] at m = n, where "
-                    f"suspension preserves the degree"
-                )
+            _read_back(where, db.suspension(m, n), rec.hom)
             if m < 2 * n - 1 and not rec.hom.is_bijective():
-                raise DataError(
-                    f"suspension ({m},{n}): must be bijective in the stable "
-                    f"range m < 2n-1"
-                )
+                raise DataError(f"{where}: must be bijective in the stable range m < 2n-1")
             if m == 2 * n - 1 and not rec.hom.is_surjective():
-                raise DataError(
-                    f"suspension ({m},{n}): must be surjective at m = 2n-1"
-                )
+                raise DataError(f"{where}: must be surjective at m = 2n-1")
         elif rec.kind == "antipodal":
-            m, n = rec.m, rec.n
-            squared = rec.hom @ rec.hom
-            if squared != rec.hom.domain.identity_hom():
-                raise DataError(f"antipodal ({m},{n}): action is not an involution")
-            if n % 2 == 1 and rec.hom != rec.hom.domain.identity_hom():
-                raise DataError(
-                    f"antipodal ({m},{n}): must be the identity for odd n"
-                )
-            if m < 2 * n - 1:
-                expected = rec.hom.domain.multiplication_by((-1) ** (n + 1))
-                if rec.hom != expected:
-                    raise DataError(
-                        f"antipodal ({m},{n}): disagrees with the stable-range "
-                        f"action"
-                    )
+            # the unmemoized lookup, so that loading leaves the memo empty
+            _read_back(where, db._antipodal(m, n, None), rec.hom)
+            if rec.hom @ rec.hom != rec.hom.domain.identity_hom():
+                raise DataError(f"{where}: action is not an involution")
     # Freudenthal on every pair of window cells, record or not: a pair
     # with a trivial side has no suspension record for the loop above
     rng = db.range
-    rows = range(max(2, rng.n_min), rng.n_max) if rng.stem_max else ()
-    for n in rows:
-        for m in range(n + 1, n + rng.stem_max + 1):
-            dom, cod = db.pi_sphere(m, n), db.pi_sphere(m + 1, n + 1)
-            if m < 2 * n - 1 and dom != cod:
-                rule = "bijective in the stable range m < 2n-1"
-            elif m == 2 * n - 1 and dom.is_trivial and not cod.is_trivial:
-                rule = "surjective at m = 2n-1"
-            else:
-                continue
-            raise DataError(f"pi_{m}(S^{n}) = {dom} and pi_{m + 1}(S^{n + 1}) = "
-                            f"{cod}: suspension must be {rule}")
+    for m, n in rng.cells():
+        if n == rng.n_max:
+            continue
+        dom, cod = db.pi_sphere(m, n), db.pi_sphere(m + 1, n + 1)
+        if m < 2 * n - 1 and dom != cod:
+            rule = "bijective in the stable range m < 2n-1"
+        elif m == 2 * n - 1 and dom.is_trivial and not cod.is_trivial:
+            rule = "surjective at m = 2n-1"
+        else:
+            continue
+        raise DataError(f"pi_{m}(S^{n}) = {dom} and pi_{m + 1}(S^{n + 1}) = "
+                        f"{cod}: suspension must be {rule}")
+
+
+def _read_back(where: str, looked_up, stored):
+    """A record must hold what the lookup of its cell gives, so where a
+    rule answers first, the rule decides."""
+    if looked_up != stored:
+        if isinstance(stored, GroupHom):
+            looked_up, stored = (list(map(list, h.matrix)) for h in (looked_up, stored))
+        raise DataError(
+            f"{where}: the lookup gives {looked_up}, the record holds {stored}"
+        )
 
 
 # packaged default database -------------------------------------------------

@@ -206,6 +206,21 @@ def test_validate_db_fails_on_seeded_fault(capsys, tmp_path, db_doc):
     assert "suspension (8,5)" in doc["message"]
 
 
+def test_validate_db_without_a_suspension_record(capsys, tmp_path, db_doc):
+    # the table loads without pi_8(S^5) -> pi_9(S^6); the stable kernel at
+    # (9,6), synthesized through it, can then not be checked
+    db_doc["homs"] = [r for r in db_doc["homs"] if not (
+        r["kind"] == "suspension" and (r["m"], r["n"]) == (8, 5))]
+    code, doc, _ = run_machine(capsys, "--db", str(write_db(tmp_path, db_doc)),
+                               "validate-db")
+    assert code == EXIT_OK
+    checks = doc["payload"]["checks"]
+    assert len(checks) == 452
+    assert [c for c in checks if c["instance"] == "(9,6)"] == [
+        {"check": "stable-kernel", "instance": "(9,6)", "status": "unverifiable",
+         "detail": "no suspension record for pi_8(S^5)"}]
+
+
 # --- one loaded table per process ------------------------------------------------------------
 
 

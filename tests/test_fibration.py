@@ -171,6 +171,12 @@ def test_exactness_unverifiable_without_projection(db):
     assert chk.status == "unverifiable"
 
 
+def test_exactness_unverifiable_outside_the_table(db):
+    chk = validate_exactness(db, "R", 40, 3)
+    assert (chk.status, chk.detail) == (
+        "unverifiable", "pi_40(S^3) is not in the database")
+
+
 def test_exactness_fails_on_a_wrong_boundary_record(db, tmp_path, db_doc):
     # V_{4,2}(R) splits, so im(p_*) is all of pi_7(S^3) = C2 and the
     # boundary, read off the section, is zero

@@ -14,6 +14,7 @@ from coincalc.homotopy_db import (
     SCHEMA_PATH,
     build_database,
     load_database,
+    load_default_database,
 )
 
 from conftest import write_db
@@ -113,7 +114,8 @@ def test_forced_value_validation(tmp_path, db_doc):
     db_doc["sphere_groups"].append(
         {"m": 4, "n": 4, "free_rank": 0, "torsion": [2], "provenance": "x"}
     )
-    with pytest.raises(DataError, match="infinite cyclic"):
+    with pytest.raises(DataError, match=r"^sphere_groups\[4,4\]: the lookup gives Z, "
+                                        r"the record holds C2$"):
         load_database(write_db(tmp_path, db_doc))
 
 
@@ -274,12 +276,50 @@ def test_antipodal_record_in_stable_range(tmp_path, db_doc):
         {"kind": "antipodal", "m": 9, "n": 6,
          "matrix": [[1]], "provenance": "bad synthetic record"}
     )
-    with pytest.raises(DataError, match=r"antipodal \(9,6\): disagrees with "
-                                        r"the stable-range action"):
+    with pytest.raises(DataError, match=r"^antipodal \(9,6\): the lookup gives "
+                                        r"\[\[23\]\], the record holds \[\[1\]\]$"):
         load_database(write_db(tmp_path, db_doc))
     # and -1 loads fine
     db_doc["homs"][-1]["matrix"] = [[23]]
     load_database(write_db(tmp_path, db_doc))
+
+
+# one record at each kind of cell a rule answers: it loads when it holds
+# what the rule gives and names both values when it does not
+@pytest.mark.parametrize("record, agreeing, match", [
+    # below the diagonal, on it, and on S^1 above it
+    ({"m": 3, "n": 5, "free_rank": 0, "torsion": [2]}, {"torsion": []},
+     r"^sphere_groups\[3,5\]: the lookup gives 0, the record holds C2$"),
+    ({"m": 4, "n": 4, "free_rank": 0, "torsion": [2]}, {"free_rank": 1, "torsion": []},
+     r"^sphere_groups\[4,4\]: the lookup gives Z, the record holds C2$"),
+    ({"m": 3, "n": 1, "free_rank": 0, "torsion": [2]}, {"torsion": []},
+     r"^sphere_groups\[3,1\]: the lookup gives 0, the record holds C2$"),
+    # suspension preserves the degree
+    ({"kind": "suspension", "m": 5, "n": 5, "matrix": [[-1]]}, {"matrix": [[1]]},
+     r"^suspension \(5,5\): the lookup gives \[\[1\]\], the record holds "
+     r"\[\[-1\]\]$"),
+    # 11 is an involution of pi_6(S^3) = C12, but odd n forces the identity
+    ({"kind": "antipodal", "m": 6, "n": 3, "matrix": [[11]]}, {"matrix": [[1]]},
+     r"^antipodal \(6,3\): the lookup gives \[\[1\]\], the record holds "
+     r"\[\[11\]\]$"),
+    # -1 on the stable pi_9(S^6) = C24
+    ({"kind": "antipodal", "m": 9, "n": 6, "matrix": [[1]]}, {"matrix": [[23]]},
+     r"^antipodal \(9,6\): the lookup gives \[\[23\]\], the record holds "
+     r"\[\[1\]\]$"),
+])
+def test_record_at_a_rule_answered_cell_is_read_back(db_doc, record, agreeing, match):
+    records = db_doc["homs" if "kind" in record else "sphere_groups"]
+    records.append(dict(record, provenance="x"))
+    with pytest.raises(DataError, match=match):
+        build_database(db_doc)
+    records[-1].update(agreeing)
+    build_database(db_doc)
+
+
+def test_loading_leaves_the_memo_empty():
+    # reading records back must not warm the table, so that a freshly
+    # loaded table traces like a cold one
+    assert load_default_database()._memo == {}
 
 
 def test_illdefined_hom_record_rejected(tmp_path, db_doc):
@@ -295,6 +335,13 @@ def test_duplicate_sphere_record_rejected(tmp_path, db_doc):
     db_doc["sphere_groups"].append(dict(db_doc["sphere_groups"][0]))
     with pytest.raises(DataError, match="duplicate"):
         load_database(write_db(tmp_path, db_doc))
+
+
+def test_duplicate_hom_record_rejected(db_doc):
+    db_doc["homs"].append(dict(db_doc["homs"][0]))
+    with pytest.raises(DataError,
+                       match=r"^duplicate hom record \('suspension', None, 3, 2\)$"):
+        build_database(db_doc)
 
 
 def test_build_database_rejects_unknown_kind():
@@ -382,11 +429,11 @@ def _set_suspension_matrix(m, n, matrix):
     # is trivial for m >= 2, and suspension at m = n is the degree identity
     (lambda doc: doc["sphere_groups"].append(
         {"m": 3, "n": 1, "free_rank": 0, "torsion": [2], "provenance": "x"}),
-     r"^sphere_groups\[3,1\]: pi_m\(S\^1\) must be trivial for m >= 2$"),
+     r"^sphere_groups\[3,1\]: the lookup gives 0, the record holds C2$"),
     (lambda doc: doc["homs"].append(
         {"kind": "suspension", "m": 5, "n": 5, "matrix": [[-1]], "provenance": "x"}),
-     r"^suspension \(5,5\): must be \[\[1\]\] at m = n, where suspension "
-     r"preserves the degree$"),
+     r"^suspension \(5,5\): the lookup gives \[\[1\]\], the record holds "
+     r"\[\[-1\]\]$"),
     # what the schema rejects is read neither as a default nor ignored
     (lambda doc: doc.update(extra=1), r"^database document: unknown key\(s\) \['extra'\]$"),
     (lambda doc: doc.update(range=None), "^range must be an object$"),
