@@ -699,7 +699,11 @@ class Subgroup(Record):
     lattice; one Smith normal form of that span yields the membership
     test, the canonical (isomorphism-invariant) form ``canonical_form``,
     and ``canonical_generators`` realizing it in ambient coordinates.
-    Equality is equality of subgroups, whatever the generating sets.
+    Equality is equality of subgroups, whatever the generating sets:
+    subgroups with different ambients or canonical forms are unequal
+    outright; otherwise a finite ambient needs one inclusion (equal
+    orders), and an ambient with a free part needs both.  The hash reads
+    the ambient and the canonical form only.
     """
 
     __slots__ = ("ambient", "generators", "canonical_form", "canonical_generators",
@@ -771,16 +775,19 @@ class Subgroup(Record):
     def contains_subgroup(self, other: "Subgroup") -> bool:
         if other.ambient != self.ambient:
             raise UsageError("subgroups live in different ambient groups")
-        return all(self.contains(g) for g in other.generators)
+        span = self._span
+        return all(span.coefficients(g.coords) is not None
+                   for g in other.canonical_generators)
 
     def __eq__(self, other):
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return (
-            self.ambient == other.ambient
-            and self.contains_subgroup(other)
-            and other.contains_subgroup(self)
-        )
+        if self.ambient != other.ambient or self.canonical_form != other.canonical_form:
+            return False
+        # in a finite ambient a subgroup of the same order as one it
+        # contains is that subgroup; 2Z and Z share a canonical form
+        return self.contains_subgroup(other) and (
+            not self.ambient.free_rank or other.contains_subgroup(self))
 
     def __hash__(self):
         return hash((self.ambient, self.canonical_form))

@@ -248,6 +248,13 @@ class ProjectiveClassifier:
     def suspension_quotient(self) -> GroupHom:
         return _suspension_quotient(self.db, self.m, self.space.n, self.trace)
 
+    @cached_property
+    def fixed(self) -> Subgroup:
+        """ker(A - 1), memoized under A itself: a kernel read under
+        (m, n') could belong to a different A."""
+        a = self.antipodal
+        return self.db.memo(("fixed", a), self.trace, lambda _: _fixed(a))
+
     # class plumbing -----------------------------------------------------------
 
     def lift_component(self, x) -> GroupElement:
@@ -345,19 +352,22 @@ class ProjectiveClassifier:
         test.  Each is one subgroup or homomorphism comparison (torsion
         rows are stored reduced, so equal maps have equal matrices); no
         element is built.
+
+        A zero lift group is decided by rule: there ker, ker_susp and
+        ker(A - 1) are all the zero subgroup, and q o A and q are both the
+        zero map, so (i)-(iii) hold whatever the data holds.
         """
+        if self.pg.sphere_group.is_trivial:
+            return None
         ker_susp = self.suspended_kernel
         if not ker_susp.contains_subgroup(self.kernel):
             return "identity (i) fails: ker is not inside ker_susp"
         if self.k != "R":
             return None
-        a = self.antipodal
-        # keyed by A itself: a kernel read under (m, n') could belong to a
-        # different A
-        if self.db.memo(("fixed", a), self.trace, lambda _: _fixed(a)) != ker_susp:
+        if self.fixed != ker_susp:
             return "identity (ii) fails: ker_susp != ker(A - 1)"
         q = self.suspension_quotient
-        if q @ a != q:
+        if q @ self.antipodal != q:
             return "identity (iii) fails: im(A - 1) is not inside the suspension image"
         return None
 

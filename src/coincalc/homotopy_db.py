@@ -78,7 +78,8 @@ class Database:
     ``("suspended_boundary_kernel", k, m, n')``, ``("suspension_quotient",
     m, n)``, ``("antipodal", m, n)`` and ``("filtration", space, m,
     stage)``.  What ``validate-db`` reads, each keyed by the value it is
-    derived from: the kernel of ``A - 1`` under ``("fixed", A)``, the
+    derived from: the kernel of ``A - 1`` under ``("fixed", A)``, read
+    once per classifier through ``ProjectiveClassifier.fixed``, the
     kernel of multiplication by ``factor`` that the stable-kernel check
     compares with under ``("killed", group, factor)``, and the tuple of
     covered projective instances under ``("covered",)``.

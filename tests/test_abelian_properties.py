@@ -169,3 +169,61 @@ def test_surjective_and_bijective_with_free_summands():
     for h, onto, bijective in cases:
         assert h.is_surjective() == onto
         assert h.is_bijective() == bijective
+
+
+def _random_subgroup_pair(r, ambient):
+    """Two subgroups of ``ambient``: unrelated ones, or one generating set
+    rewritten (shuffled, an elementary operation, a redundant sum), so
+    that equal subgroups with different generators come up often."""
+    def element():
+        free = [r.randint(-4, 4) for _ in range(ambient.free_rank)]
+        return ambient.element(free + [r.randrange(t) for t in ambient.torsion])
+
+    gens = [element() for _ in range(r.randint(0, 3))]
+    if r.random() < 0.4 or not gens:
+        other = [element() for _ in range(r.randint(0, 3))]
+    else:
+        other = list(gens)
+        r.shuffle(other)
+        if len(other) > 1:
+            other[0] = other[0] + r.randint(-3, 3) * other[1]
+        other.append(r.randint(-2, 2) * other[-1] + gens[0])
+        if r.random() < 0.3:  # a proper sub- or supergroup, or the same
+            other[0] = r.choice((2, 3, -1)) * other[0]
+    return ambient.subgroup(gens), ambient.subgroup(other)
+
+
+def _check_comparison(a, b):
+    mutual = (all(a.contains(g) for g in b.generators)
+              and all(b.contains(g) for g in a.generators))
+    assert (a == b) == mutual == (b == a)
+    assert a.contains_subgroup(b) == all(a.contains(g) for g in b.generators)
+    if a == b:
+        assert hash(a) == hash(b)
+    return mutual, a.canonical_form == b.canonical_form
+
+
+def test_subgroup_equality_is_mutual_containment():
+    seen = set()
+    for _ in range(300):
+        finite = rng.random() < 0.5
+        torsion = random_finite_group(rng, max_order=48).torsion
+        ambient = FgAbGroup(0 if finite else rng.randint(1, 2), torsion)
+        a, b = _random_subgroup_pair(rng, ambient)
+        seen.add((finite,) + _check_comparison(a, b))
+    # equal, unequal of one canonical form, and unequal of different forms,
+    # in finite ambients and in ambients with a free part
+    assert seen == {(f, eq, same) for f in (True, False)
+                    for eq, same in ((True, True), (False, True), (False, False))}
+
+
+def test_subgroups_of_one_canonical_form_can_differ():
+    z = FgAbGroup.free(1)
+    two_z, whole = z.subgroup([[2]]), z.whole_subgroup()
+    assert two_z.canonical_form == whole.canonical_form
+    assert _check_comparison(two_z, whole) == (False, True)
+    assert two_z == z.subgroup([[4], [6]]) and whole == z.subgroup([[2], [3]])
+    klein = FgAbGroup(0, (2, 2))
+    first, second = klein.subgroup([[1, 0]]), klein.subgroup([[0, 1]])
+    assert _check_comparison(first, second) == (False, True)
+    assert _check_comparison(first, klein.subgroup([[1, 0], [0, 0]])) == (True, True)

@@ -585,6 +585,35 @@ def test_exclusivity_identities_above_the_order_cap(db):
         assert ProjectiveClassifier(db, k, m, n_prime).exclusivity_failure() is None
 
 
+def test_zero_lift_group_rule_against_the_identities_in_full(db):
+    """``exclusivity_failure`` answers a zero lift group by rule; here
+    identities (i)-(iii) are evaluated on every element of the lift group
+    instead, with no early return, and the premises of the rule (zero
+    kernels, zero maps) are checked outright."""
+    from conftest import covered_projective_instances
+
+    zero_lift = Counter()
+    for k, m, n_prime, cls in covered_projective_instances(db):
+        if cls.pg.total.order() > 40:
+            continue
+        lift = cls.pg.sphere_group
+        if not lift.is_trivial:
+            continue
+        ker, ker_susp = cls.kernel, cls.suspended_kernel
+        elements = list(lift.enumerate_torsion_part())
+        assert all(ker_susp.contains(z) for z in elements if ker.contains(z))  # (i)
+        assert ker.is_trivial and ker_susp.is_trivial
+        if k == "R":
+            a, q = cls.antipodal, cls.suspension_quotient
+            assert all(ker_susp.contains(z) == (a(z) == z) for z in elements)  # (ii)
+            assert all(q(a(z)) == q(z) for z in elements)  # (iii)
+            assert a.is_zero and q.is_zero and cls.fixed.is_trivial
+        assert cls.exclusivity_failure() is None, (k, m, n_prime)
+        zero_lift[k] += 1
+    assert zero_lift == {"C": 138, "H": 108, "R": 68}
+    assert sum(zero_lift.values()) == 314  # of the 369 that validate-db checks
+
+
 def test_exclusivity_identities_reject_what_the_sweep_rejects(db, monkeypatch):
     """Mutants of the instance data (each kernel replaced by 0 or the whole
     lift group, A by +1 or -1, in every combination) are set on the

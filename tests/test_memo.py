@@ -255,3 +255,54 @@ def test_the_documented_memo_keys_are_the_stored_ones(capsys, monkeypatch):
         assert cli.main(argv) == cli.EXIT_OK, argv
     capsys.readouterr()
     assert {key[0] for key in cli._loaded[1]._memo} == documented
+
+
+def test_a_warm_validate_db_builds_nothing_and_decides_every_identity(db, monkeypatch):
+    """Work done by a second ``validate-db`` on one table, counted (counts
+    are deterministic, so a regression shows that timing noise would
+    hide): no subgroup is built, lattice solves and homomorphism builds
+    stay at or below what the cached comparisons reach, and each instance
+    with a nonzero lift group still has identities (i)-(iii) compared."""
+    from collections import Counter
+
+    from coincalc import cli
+    from coincalc.abelian import GroupHom, Subgroup, _Snf
+    from coincalc.coincidence import covered_projective_instances
+
+    d = fresh(db)
+    cold = cli._run_db_checks(d)
+    calls, compared = Counter(), set()
+
+    def counted(owner, name, record=False):
+        original = owner.__dict__[name]
+
+        def wrapper(self, *args):
+            calls[owner.__name__, name] += 1
+            if record:
+                compared.add((name, id(self), id(args[0])))
+            return original(self, *args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(Subgroup, "__init__")
+    counted(_Snf, "coefficients")
+    counted(GroupHom, "__init__")
+    counted(Subgroup, "contains_subgroup", record=True)
+    counted(Subgroup, "__eq__", record=True)
+    counted(GroupHom, "__matmul__", record=True)
+    assert cli._run_db_checks(d) == cold
+    assert calls["Subgroup", "__init__"] == 0
+    assert calls["_Snf", "coefficients"] <= 146
+    assert calls["GroupHom", "__init__"] <= 52
+    nonzero = Counter()
+    for k, m, n_prime, cls in covered_projective_instances(d):
+        if cls.pg.total.order() > 40 or cls.pg.sphere_group.is_trivial:
+            continue
+        ker_susp = cls.suspended_kernel
+        assert ("contains_subgroup", id(ker_susp), id(cls.kernel)) in compared
+        if k == "R":
+            assert ("__eq__", id(cls.fixed), id(ker_susp)) in compared
+            q = cls.suspension_quotient
+            assert ("__matmul__", id(q), id(cls.antipodal)) in compared
+        nonzero[k] += 1
+    assert sum(nonzero.values()) == 55
