@@ -756,10 +756,13 @@ class Subgroup(Record):
 
     # -- membership ----------------------------------------------------------
 
-    def contains(self, elem: GroupElement) -> bool:
+    def _coefficients(self, elem: GroupElement):
         if elem.group != self.ambient:
             raise UsageError("element lives in a different ambient group")
-        return self._span.coefficients(elem.coords) is not None
+        return self._span.coefficients(elem.coords)
+
+    def contains(self, elem: GroupElement) -> bool:
+        return self._coefficients(elem) is not None
 
     def __contains__(self, elem) -> bool:
         return self.contains(elem)
@@ -767,10 +770,9 @@ class Subgroup(Record):
     def coordinates_of(self, elem: GroupElement) -> tuple[int, ...] | None:
         """Coordinates of ``elem`` against the canonical generators, or
         ``None`` when the element is not a member."""
-        if not self.contains(elem):
-            return None
-        w = self._span.coefficients(elem.coords)
-        return self.canonical_form.reduce(_mat_vec(self._to_canonical, w))
+        w = self._coefficients(elem)
+        return None if w is None else self.canonical_form.reduce(
+            _mat_vec(self._to_canonical, w))
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
         if other.ambient != self.ambient:

@@ -19,8 +19,8 @@ For K = R the connecting homomorphism is multiplication by
 ``1 + (-1)^n`` once both ends are identified along suspension, which is
 valid in the stable range ``m < 2n - 2``; for odd ``n`` the fibration
 has a section (complex scalar multiplication), so the boundary vanishes
-for every ``m``.  Everything else must come from an explicit database
-record or is reported as a gap.
+for every ``m``.  These rules come first; a cell they leave open is read
+from its database record, or else reported as a gap.
 """
 
 from __future__ import annotations
@@ -123,10 +123,6 @@ def _stable_boundary(db: Database, dom: FgAbGroup, m: int, n: int,
     suspension identification; only its kernel is contractual, the
     overall sign is a convention.
     """
-    if not m < 2 * n - 2:
-        raise GapError(
-            f"boundary unknown: ({m},{n}) is outside the stable range m < 2n-2"
-        )
     susp = db.suspension(m - 1, n - 1, trace)
     Trace.note(trace, "stable-boundary-transport")
     return susp.inverse() @ dom.multiplication_by(2)
@@ -138,35 +134,28 @@ def boundary_hom(
     """Connecting homomorphism pi_m(S^{n+d-1}) -> pi_{m-1}(S^{n-1}) of the
     orthonormal-2-frame fibration over KP(n').
 
-    Resolution order: explicit database record; forced zero (trivial
-    side, or K = R with odd n where the fibration has a section); the
-    stable-range synthesis for K = R.  Anything else is a gap that
-    callers surface verbatim.
+    Resolution order, as for every structure lookup: the rules, forced
+    zero (trivial side, or K = R with odd n where the fibration has a
+    section) and the stable-range synthesis for K = R; then the database
+    record; then a gap that callers surface verbatim.
     """
     d = field_dim(k)
     n = d * n_prime
-    rec = db.boundary_record(k, m, n_prime)
-    if rec is not None:
-        Trace.note(trace, "boundary-record")
-        return rec
     dom = db.pi_sphere(m, n + d - 1)
-    if n == 1:
-        # the fiber is the discrete sphere S^0
-        cod = TRIVIAL_GROUP
-    else:
-        cod = db.pi_sphere(m - 1, n - 1)
+    # for n = 1 the fiber is the discrete sphere S^0
+    cod = TRIVIAL_GROUP if n == 1 else db.pi_sphere(m - 1, n - 1)
     if dom.is_trivial or cod.is_trivial:
         Trace.note(trace, "boundary-trivial-side")
         return GroupHom.zero(dom, cod)
-    if k == "R":
-        if n % 2 == 1:
-            # complex scalar multiplication sections the frame bundle
-            Trace.note(trace, "boundary-section-zero")
-            return GroupHom.zero(dom, cod)
+    if k == "R" and n % 2 == 1:
+        # complex scalar multiplication sections the frame bundle
+        Trace.note(trace, "boundary-section-zero")
+        return GroupHom.zero(dom, cod)
+    if k == "R" and m < 2 * n - 2:
         return _stable_boundary(db, dom, m, n, trace)
-    raise GapError(
-        f"boundary unknown for K = {k}, m = {m}, n' = {n_prime}: no record"
-    )
+    gap = (f"boundary unknown: ({m},{n}) is outside the stable range m < 2n-2" if k == "R"
+           else f"boundary unknown for K = {k}, m = {m}, n' = {n_prime}: no record")
+    return db.record("boundary", k, m, n_prime, trace, gap)
 
 
 def boundary_kernel(

@@ -160,11 +160,8 @@ class Database:
         if dom.is_trivial or cod.is_trivial:
             Trace.note(trace, "suspension-trivial")
             return GroupHom.zero(dom, cod)
-        rec = self._homs.get(("suspension", None, m, n))
-        if rec is None:
-            raise GapError(f"no suspension record for pi_{m}(S^{n})")
-        Trace.note(trace, "suspension-record")
-        return rec.hom
+        return self.record("suspension", None, m, n, trace,
+                           f"no suspension record for pi_{m}(S^{n})")
 
     # -- antipodal actions ------------------------------------------------------
 
@@ -181,20 +178,22 @@ class Database:
         if m < 2 * n - 1:
             Trace.note(trace, "antipodal-stable-negation")
             return g.multiplication_by(-1)
-        rec = self._homs.get(("antipodal", None, m, n))
+        return self.record("antipodal", None, m, n, trace,
+                           f"antipodal action unknown for pi_{m}(S^{n}) "
+                           "(unstable, even n, no record)")
+
+    # -- the record step ------------------------------------------------------------
+
+    def record(self, kind: str, k: str | None, m: int, n: int,
+               trace: Trace | None, gap: str) -> GroupHom:
+        """The last step of every structure lookup, after its rules: the
+        stored ``kind`` hom of the cell (keyed as in ``StructureHomRecord``),
+        noted as ``<kind>-record``, or a ``GapError`` saying ``gap``."""
+        rec = self._homs.get((kind, k, m, n))
         if rec is None:
-            raise GapError(
-                f"antipodal action unknown for pi_{m}(S^{n}) "
-                "(unstable, even n, no record)"
-            )
-        Trace.note(trace, "antipodal-record")
+            raise GapError(gap)
+        Trace.note(trace, f"{kind}-record")
         return rec.hom
-
-    # -- boundary records ----------------------------------------------------------
-
-    def boundary_record(self, k: str, m: int, n_prime: int) -> GroupHom | None:
-        rec = self._homs.get(("boundary", k, m, n_prime))
-        return rec.hom if rec else None
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +262,9 @@ def load_database(path) -> Database:
     every call.
 
     Every record invariant, the declared-range closure and the
-    Freudenthal constraints are checked here, and each sphere, suspension
-    and antipodal record must equal what the lookup of its cell gives;
-    failures name the record.
+    Freudenthal constraints are checked here, and every record, of every
+    kind, must equal what the lookup of its cell gives, where a rule
+    answers before the record; failures name the record.
     """
     return build_database(decode_database(read_database(path), path))
 
@@ -397,24 +396,32 @@ def _parse_hom(db: Database, i: int, rec: dict) -> StructureHomRecord:
 
 
 def _validate_structure(db: Database):
-    """Each sphere, suspension and antipodal record read back through the
-    lookup of its cell (``boundary_hom`` reads boundary records before its
-    rules); Freudenthal and involution checks on stored homs; Freudenthal
-    on the groups of every pair of window cells."""
+    """Every record read back through the lookup of its cell, suspensions
+    before boundaries, whose stable synthesis inverts them; a lookup that
+    gaps fails the record as well.  Freudenthal and involution checks on
+    stored homs; Freudenthal on the groups of every pair of window cells."""
+    from .fibration import boundary_hom  # fibration imports this module
+
+    # unmemoized lookups, so that loading leaves the memo empty
+    lookup = {"suspension": lambda rec: db.suspension(rec.m, rec.n),
+              "antipodal": lambda rec: db._antipodal(rec.m, rec.n, None),
+              "boundary": lambda rec: boundary_hom(db, rec.field, rec.m, rec.n)}
     for rec in db.sphere_records():
         _read_back(f"sphere_groups[{rec.m},{rec.n}]", db.pi_sphere(rec.m, rec.n),
                    rec.group)
-    for rec in db.hom_records():
-        m, n, where = rec.m, rec.n, f"{rec.kind} ({rec.m},{rec.n})"
+    for rec in sorted(db.hom_records(), key=lambda r: HOM_KINDS.index(r.kind)):
+        m, n = rec.m, rec.n
+        where = f"{rec.kind} ({rec.field + ',' if rec.field else ''}{m},{n})"
+        try:
+            _read_back(where, lookup[rec.kind](rec), rec.hom)
+        except GapError as exc:
+            raise DataError(f"{where}: {exc}") from None
         if rec.kind == "suspension":
-            _read_back(where, db.suspension(m, n), rec.hom)
             if m < 2 * n - 1 and not rec.hom.is_bijective():
                 raise DataError(f"{where}: must be bijective in the stable range m < 2n-1")
             if m == 2 * n - 1 and not rec.hom.is_surjective():
                 raise DataError(f"{where}: must be surjective at m = 2n-1")
         elif rec.kind == "antipodal":
-            # the unmemoized lookup, so that loading leaves the memo empty
-            _read_back(where, db._antipodal(m, n, None), rec.hom)
             if rec.hom @ rec.hom != rec.hom.domain.identity_hom():
                 raise DataError(f"{where}: action is not an involution")
     # Freudenthal on every pair of window cells, record or not: a pair

@@ -348,3 +348,21 @@ def test_subgroup_coordinates_roundtrip():
             rebuilt = rebuilt + c * base
         assert rebuilt == elem
     assert sub.coordinates_of(g.element([1, 0, 0])) is None
+
+
+def test_subgroup_coordinates_solve_once(monkeypatch):
+    # one lattice solve per call, member or not, and still the ambient check
+    from coincalc import abelian
+
+    solve = abelian._Snf.coefficients
+    calls = []
+    monkeypatch.setattr(abelian._Snf, "coefficients",
+                        lambda self, b: calls.append(b) or solve(self, b))
+    g = FgAbGroup(0, (24,))
+    sub = g.subgroup([[12]])
+    for coords, expected in (([12], (1,)), ([0], (0,)), ([6], None)):
+        before = len(calls)
+        assert sub.coordinates_of(g.element(coords)) == expected
+        assert len(calls) == before + 1
+    with pytest.raises(UsageError, match="different ambient"):
+        sub.coordinates_of(FgAbGroup(0, (12,)).element([6]))

@@ -260,17 +260,19 @@ def test_validate_db_reads_a_fault_written_between_calls(capsys, tmp_path, db_do
     path = write_db(tmp_path, db_doc)
     for _ in range(2):  # cold, then warm
         assert run_machine(capsys, "--db", str(path), "validate-db")[0] == EXIT_OK
-    # a zero boundary for (R, 9, 6) loads, but its kernel is not the
-    # stable one and it breaks case identity (ii)
-    db_doc["homs"].append({"kind": "boundary", "K": "R", "m": 9, "nprime": 6,
-                           "matrix": [[0]], "provenance": "seeded fault"})
+    # (R, 6, 4) is unstable with even n', so no rule answers and a record
+    # loads; [[1]] kills nothing and breaks case identity (ii).  A record
+    # at a rule-answered cell, where the stable-kernel check could fail,
+    # does not load
+    db_doc["homs"].append({"kind": "boundary", "K": "R", "m": 6, "nprime": 4,
+                           "matrix": [[1]], "provenance": "seeded fault"})
     write_db(tmp_path, db_doc)
     code, doc, _ = run_machine(capsys, "--db", str(path), "validate-db")
     assert code == EXIT_ERROR
     failed = [c for c in doc["payload"]["checks"] if c["status"] == "fail"]
     assert [(c["check"], c["instance"]) for c in failed] == [
-        ("stable-kernel", "(9,6)"), ("case-exclusivity", "(K=R, m=9, n'=6)")]
-    assert "ker(A - 1)" in failed[1]["detail"]
+        ("case-exclusivity", "(K=R, m=6, n'=4)")]
+    assert "ker(A - 1)" in failed[0]["detail"]
     # a suspension that is not bijective in the stable range fails the load
     for rec in db_doc["homs"]:
         if rec["kind"] == "suspension" and (rec["m"], rec["n"]) == (8, 5):

@@ -755,34 +755,38 @@ def test_projective_case2_where_suspension_enlarges_the_kernel(db_doc):
 
 
 def test_validate_db_reports_a_broken_case_identity(db_doc, tmp_path, capsys):
-    """A zero boundary for (R, 9, 6) makes ker_susp all of C24 while A = -1
-    fixes only C2: identity (ii) fails, and the pair sweep agrees."""
+    """(R, 6, 4) is unstable with even n', so its boundary comes from a
+    record.  An injective one, pi_6(S^4) = C2 -> pi_5(S^3) = C2, makes
+    ker_susp zero while A fixes all of C2: identity (ii) fails, and the
+    pair sweep agrees."""
     import json
 
     from conftest import write_db
     from coincalc.cli import EXIT_ERROR, main
 
-    d = _with_boundary_record(db_doc, "R", 9, 6, [[0]])
-    assert len(exclusivity_violations(d, "R", 9, 6)) == 44
-    assert ProjectiveClassifier(d, "R", 9, 6).exclusivity_failure() == (
+    d = _with_boundary_record(db_doc, "R", 6, 4, [[1]])
+    assert len(exclusivity_violations(d, "R", 6, 4)) == 1
+    assert ProjectiveClassifier(d, "R", 6, 4).exclusivity_failure() == (
         "identity (ii) fails: ker_susp != ker(A - 1)")
     path = write_db(tmp_path, db_doc)  # db_doc now holds the record too
     assert main(["--format", "machine", "--db", str(path), "validate-db"]) == EXIT_ERROR
     checks = json.loads(capsys.readouterr().out)["payload"]["checks"]
     failed = [c for c in checks
               if c["check"] == "case-exclusivity" and c["status"] == "fail"]
-    assert [c["instance"] for c in failed] == ["(K=R, m=9, n'=6)"]
+    assert [c["instance"] for c in failed] == ["(K=R, m=6, n'=4)"]
     assert "ker(A - 1)" in failed[0]["detail"]
 
 
 def test_projective_real_case2_from_a_boundary_record(db_doc):
-    # pi_7(S^3) = C2 -> pi_6(S^2) = C12 sends g to 6, which suspends to 0
+    # (R, 11, 6) is outside the stable range with even n', so a record
+    # answers: pi_11(S^6) = Z -> pi_10(S^5) = C2 sends g to the generator,
+    # which suspends to 0 in the torsion-free pi_11(S^6) = Z
     from coincalc.fibration import pi_projective
 
-    d = _with_boundary_record(db_doc, "R", 7, 3, [[6]])
-    pg = pi_projective(d, "R", 7, 3)
+    d = _with_boundary_record(db_doc, "R", 11, 6, [[1]])
+    pg = pi_projective(d, "R", 11, 6)
     g = pg.lift_injection(pg.sphere_group.element([1]))
-    v = classify_projective_pair(d, "R", 7, 3, g, g)
+    v = classify_projective_pair(d, "R", 11, 6, g, g)
     assert v.rule == "projective-case-2"
     assert v.numbers() == (0, 1, 1)
 

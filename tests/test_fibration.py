@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import random
+
 import pytest
 
-from coincalc.abelian import FgAbGroup
-from coincalc.errors import GapError, UsageError
+from coincalc.abelian import FgAbGroup, GroupHom
+from coincalc.errors import DataError, GapError, UsageError
 from coincalc.fibration import (
     ProjectiveSpace,
     boundary_hom,
@@ -16,7 +19,7 @@ from coincalc.fibration import (
     validate_exactness,
 )
 
-from coincalc.homotopy_db import load_database
+from coincalc.homotopy_db import build_database, load_database
 
 from conftest import intersection, write_db
 
@@ -181,14 +184,16 @@ def test_exactness_fails_on_a_wrong_boundary_record(db, tmp_path, db_doc):
     # V_{4,2}(R) splits, so im(p_*) is all of pi_7(S^3) = C2 and the
     # boundary, read off the section, is zero
     assert validate_exactness(db, "R", 7, 3).status == "ok"
-    # a boundary record C2 -> pi_6(S^2) = C12 hitting 6 kills nothing
+    # a boundary record C2 -> pi_6(S^2) = C12 hitting 6 kills nothing and
+    # would fail exactness; the section rule answers first, so it does not load
     db_doc["homs"].append(
         {"kind": "boundary", "K": "R", "m": 7, "nprime": 3,
          "matrix": [[6]], "provenance": "synthetic test record"}
     )
-    chk = validate_exactness(load_database(write_db(tmp_path, db_doc)), "R", 7, 3)
-    assert (chk.status, chk.instance) == ("fail", "(K=R, m=7, n'=3)")
-    assert chk.detail == "im(p_*) = C2 but ker(boundary) = 0"
+    with pytest.raises(DataError) as info:
+        load_database(write_db(tmp_path, db_doc))
+    assert str(info.value) == (
+        "boundary (R,7,3): the lookup gives [[0]], the record holds [[6]]")
 
 
 def test_exactness_report_all_ok(db):
@@ -201,21 +206,74 @@ def test_exactness_section_argument_against_the_split_stiefel_group(db, tmp_path
     """Oracle for reading im(p_*) as the whole group: pi_m(V_{n'+1,2}(R))
     splits as fiber + base, and the projection onto the base summand has
     the whole summand as its image, so the check decides im(p_*) = ker
-    exactly when the kernel is whole; also on two wrong boundaries, one
-    of them 2Z in Z."""
+    exactly when the kernel is whole.  The two wrong boundaries that
+    would break exactness, one of them 2Z in Z, do not load."""
+    report = exactness_report(db)
+    assert len(report) == 40
+    for chk in report:
+        m, n_prime = chk.m, chk.n_prime
+        split = db.pi_sphere(m, n_prime - 1).direct_sum(db.pi_sphere(m, n_prime))
+        base = split.projections[1]
+        image = base.image()
+        assert image == base.codomain.whole_subgroup()
+        ker = boundary_kernel(db, "R", m, n_prime)
+        assert (image == ker) == ker.is_whole == (chk.status == "ok")
     for m, n_prime, matrix in ((7, 3, [[6]]), (3, 3, [[2]])):
-        db_doc["homs"].append({"kind": "boundary", "K": "R", "m": m, "nprime": n_prime,
-                               "matrix": matrix, "provenance": "synthetic test record"})
-    faulty = load_database(write_db(tmp_path, db_doc))
-    for table, fails in ((db, set()), (faulty, {(7, 3), (3, 3)})):
-        report = exactness_report(table)
-        assert len(report) == 40
-        for chk in report:
-            m, n_prime = chk.m, chk.n_prime
-            split = table.pi_sphere(m, n_prime - 1).direct_sum(table.pi_sphere(m, n_prime))
-            base = split.projections[1]
-            image = base.image()
-            assert image == base.codomain.whole_subgroup()
-            ker = boundary_kernel(table, "R", m, n_prime)
-            assert ((image == ker) == ker.is_whole == (chk.status == "ok")
-                    == ((m, n_prime) not in fails))
+        doc = copy.deepcopy(db_doc)
+        doc["homs"].append({"kind": "boundary", "K": "R", "m": m, "nprime": n_prime,
+                            "matrix": matrix, "provenance": "synthetic test record"})
+        with pytest.raises(DataError, match=rf"^boundary \(R,{m},{n_prime}\): the lookup"):
+            load_database(write_db(tmp_path, doc))
+
+
+def _seeded_boundary_records(db, count, seed):
+    """``count`` random boundary records at R cells with n' <= 12, each a
+    homomorphism between the shipped groups of its cell."""
+    rng = random.Random(seed)
+    cells = []
+    for n_prime in range(2, 13):
+        for m in range(n_prime, n_prime + 9):
+            try:
+                dom, cod = db.pi_sphere(m, n_prime), db.pi_sphere(m - 1, n_prime - 1)
+            except GapError:
+                continue
+            if not (dom.is_trivial or cod.is_trivial):
+                cells.append((m, n_prime, dom, cod))
+    records = []
+    while len(records) < count:
+        m, n_prime, dom, cod = rng.choice(cells)
+        bound = max(cod.torsion, default=3)
+        matrix = [[rng.randrange(bound) for _ in range(dom.ngens)]
+                  for _ in range(cod.ngens)]
+        try:
+            GroupHom(dom, cod, matrix)
+        except UsageError:
+            continue
+        records.append({"kind": "boundary", "K": "R", "m": m, "nprime": n_prime,
+                        "matrix": matrix, "provenance": "seeded mutation"})
+    return records
+
+
+def test_seeded_boundary_records_keep_exactness_and_stable_kernels(db, db_doc):
+    """Oracle for reading boundary records back: a record is used only
+    where no rule answers, so no table that loads can fail exactness (the
+    section rule) or the stable-range kernel of 1 + (-1)^n, whatever
+    boundary record it was given."""
+    loaded = 0
+    for rec in _seeded_boundary_records(db, 60, seed=21):
+        db_doc["homs"].append(rec)
+        try:
+            table = build_database(db_doc)
+        except DataError as exc:
+            assert str(exc).startswith(("boundary (R,", "duplicate hom record")), exc
+            continue
+        finally:
+            db_doc["homs"].pop()
+        loaded += 1
+        assert [c for c in exactness_report(table) if c.status == "fail"] == [], rec
+        for m, n in table.range.cells():
+            group = table.pi_sphere(m, n)
+            if m < 2 * n - 2 and not group.free_rank:
+                killed = group.multiplication_by(1 + (-1) ** n).kernel()
+                assert boundary_kernel(table, "R", m, n) == killed, (rec, m, n)
+    assert loaded >= 20

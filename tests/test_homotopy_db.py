@@ -235,6 +235,30 @@ def test_boundary_record_used_when_present(tmp_path, db_doc):
     assert not ker.contains(b.domain.element([6]))
 
 
+def test_boundary_read_back_that_gaps_is_a_data_error(db_doc):
+    # the stable synthesis at (R, 9, 6) inverts the suspension out of
+    # pi_8(S^5); without its record the lookup gaps, and the load names
+    # the boundary record it was reading back
+    db_doc["homs"] = [r for r in db_doc["homs"] if not (
+        r["kind"] == "suspension" and (r["m"], r["n"]) == (8, 5))]
+    build_database(db_doc)
+    _add_boundary_record("R", 9, 6, [[2]])(db_doc)
+    with pytest.raises(DataError, match=re.escape(
+            "boundary (R,9,6): no suspension record for pi_8(S^5)")):
+        build_database(db_doc)
+
+
+def test_suspensions_are_checked_before_the_boundaries_that_invert_them(db_doc):
+    # a boundary record listed first still waits for the suspension checks,
+    # so the non-bijective suspension is named, not an inversion failure
+    db_doc["homs"].insert(0, {"kind": "boundary", "K": "R", "m": 9, "nprime": 6,
+                              "matrix": [[2]], "provenance": "hand-built test record"})
+    _set_suspension_matrix(8, 5, [[2]])(db_doc)
+    with pytest.raises(DataError, match=re.escape(
+            "suspension (8,5): must be bijective in the stable range")):
+        build_database(db_doc)
+
+
 # --- structure validation at load time ------------------------------------------------------------
 
 
@@ -367,6 +391,13 @@ def _drop_sphere_key(m, n, key):
     return mutate
 
 
+def _add_boundary_record(k, m, n_prime, matrix):
+    def mutate(doc):
+        doc["homs"].append({"kind": "boundary", "K": k, "m": m, "nprime": n_prime,
+                            "matrix": matrix, "provenance": "hand-built test record"})
+    return mutate
+
+
 def _trivial_cell_without_suspensions(m, n, dropped):
     """Make pi_m(S^n) trivial and drop the suspension records at
     ``dropped``, whose matrices would no longer fit."""
@@ -466,6 +497,17 @@ def _set_suspension_matrix(m, n, matrix):
      r"^homs\[\d+\] boundary record \(m=\d+\): unknown key\(s\) \['n'\]$"),
     (lambda doc: next(r for r in doc["homs"] if r["kind"] == "antipodal").update(nprime=3),
      r"^homs\[\d+\] antipodal record \(m=\d+\): unknown key\(s\) \['nprime'\]$"),
+    # boundary records read back under the rules: n' = 5 is odd, so the
+    # frame bundle has a section and the boundary is zero ...
+    (_add_boundary_record("R", 9, 5, [[1], [0]]),
+     r"^boundary \(R,9,5\): the lookup gives \[\[0\], \[0\]\], "
+     r"the record holds \[\[1\], \[0\]\]$"),
+    # ... in the stable range the boundary is 2 transported along suspension ...
+    (_add_boundary_record("R", 9, 6, [[0]]),
+     r"^boundary \(R,9,6\): the lookup gives \[\[2\]\], the record holds \[\[0\]\]$"),
+    # ... and out of pi_10(S^6) = 0 it is zero: a trivial group has no
+    # generators, so a nonzero record does not even have the right shape
+    (_add_boundary_record("R", 10, 6, [[1]]), r"^boundary \(R,10,6\): matrix must be 1 x 0$"),
 ])
 def test_malformed_document_is_a_data_error(db_doc, mutate, match):
     mutate(db_doc)
