@@ -269,61 +269,10 @@ class _Outcome(Exception):
 
 
 def _run_db_checks(db: Database) -> list[dict]:
-    """The validations beyond what loading already guarantees."""
-    checks = []
-    # frame-fibration exactness, wherever expressible
-    for chk in fibration.exactness_report(db):
-        checks.append(
-            {
-                "check": "exactness",
-                "instance": chk.instance,
-                "status": chk.status,
-                "detail": chk.detail,
-            }
-        )
-    # stable-range boundary kernels against the kernel of 1 + (-1)^n
-    for m, n in db.range.cells():
-        if not m < 2 * n - 2:
-            continue
-        group = db.pi_sphere(m, n)
-        if group.free_rank:
-            continue
-        try:
-            ker = fibration.boundary_kernel(db, "R", m, n)
-        except GapError as exc:
-            checks.append({"check": "stable-kernel", "instance": f"({m},{n})",
-                           "status": "unverifiable", "detail": str(exc)})
-            continue
-        # memoized by value and compared on every call
-        factor = 1 + (-1) ** n
-        killed = db.memo(("killed", group, factor), None,
-                         lambda _: group.multiplication_by(factor).kernel())
-        checks.append(
-            {
-                "check": "stable-kernel",
-                "instance": f"({m},{n})",
-                "status": "ok" if ker == killed else "fail",
-                "detail": f"kernel has {ker.order()} elements, "
-                          f"enumeration gives {killed.order()}",
-            }
-        )
-    # the seven classifier cases must be mutually exclusive and complete,
-    # decided by subgroup identities that enumerate nothing; the order cap
-    # only keeps the check list at its pinned 369 instances (the shipped
-    # data covers 374; the 5 skipped have order 120 or 240)
-    for k, m, n_prime, cls in coincidence.covered_projective_instances(db):
-        if cls.pg.total.order() > 40:
-            continue
-        broken = cls.exclusivity_failure()
-        checks.append(
-            {
-                "check": "case-exclusivity",
-                "instance": f"(K={k}, m={m}, n'={n_prime})",
-                "status": "fail" if broken else "ok",
-                "detail": broken or "0 pair(s) matched by != 1 case",
-            }
-        )
-    return checks
+    """The validations beyond what loading already guarantees: frame-fibration
+    exactness, the stable-range boundary kernels and case exclusivity."""
+    return (fibration.exactness_report(db) + fibration.stable_kernel_report(db)
+            + coincidence.exclusivity_report(db))
 
 
 def _cmd_validate_db(db, args, trace):

@@ -470,6 +470,23 @@ def _covered_projective_instances(db: Database):
                 yield k, m, n_prime, cls
 
 
+def exclusivity_report(db: Database) -> list[dict]:
+    """The ``validate-db`` rows, dicts with keys ``check``, ``instance``,
+    ``status`` ("ok" or "fail") and ``detail``, that report
+    :meth:`ProjectiveClassifier.exclusivity_failure` for each covered
+    instance of order at most 40.  The cap only keeps the list at its
+    pinned 369 instances; the 5 of the 374 it skips have order 120 or 240."""
+    rows = []
+    for k, m, n_prime, cls in covered_projective_instances(db):
+        if cls.pg.total.order() <= 40:
+            broken = cls.exclusivity_failure()
+            rows.append({"check": "case-exclusivity",
+                         "instance": f"(K={k}, m={m}, n'={n_prime})",
+                         "status": "fail" if broken else "ok",
+                         "detail": broken or "0 pair(s) matched by != 1 case"})
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # answers shared by all families
 

@@ -191,21 +191,13 @@ def _suspended_boundary_kernel(
 
 
 # ---------------------------------------------------------------------------
-# exactness validation
+# validate-db rows for the boundary rules: dicts with keys ``check``,
+# ``instance``, ``status`` ("ok", "fail" or "unverifiable") and ``detail``
 
 
-class ExactnessCheck(Record):
-    """``status`` is "ok", "fail" or "unverifiable"."""
-
-    __slots__ = ("k", "m", "n_prime", "status", "detail")
-
-    @property
-    def instance(self) -> str:
-        return f"(K={self.k}, m={self.m}, n'={self.n_prime})"
-
-
-def validate_exactness(db: Database, k: str, m: int, n_prime: int) -> ExactnessCheck:
-    """Check im(p_*) = ker(boundary) at pi_m(S^{n+d-1}) for one instance.
+def validate_exactness(db: Database, k: str, m: int, n_prime: int) -> dict:
+    """The row checking im(p_*) = ker(boundary) at pi_m(S^{n+d-1}) for one
+    instance.
 
     For K = R with odd n' and m >= 3 the bundle V_{n'+1,2}(R) -> S^{n'}
     has a section (complex scalar multiplication), so p_* is onto and
@@ -214,29 +206,51 @@ def validate_exactness(db: Database, k: str, m: int, n_prime: int) -> ExactnessC
     try:
         ker = boundary_kernel(db, k, m, n_prime)
     except GapError as exc:
-        return ExactnessCheck(k, m, n_prime, "unverifiable", str(exc))
-    if not (k == "R" and n_prime % 2 == 1 and m >= 3):
-        return ExactnessCheck(
-            k, m, n_prime, "unverifiable", "no frame-bundle projection available"
-        )
-    if ker.is_whole:
-        return ExactnessCheck(
-            k, m, n_prime, "ok",
-            f"im(p_*) = ker(boundary) = {ker.canonical_form.describe()}",
-        )
-    return ExactnessCheck(
-        k, m, n_prime, "fail",
-        f"im(p_*) = {ker.ambient.describe()} but ker(boundary) = "
-        f"{ker.canonical_form.describe()}",
-    )
+        status, detail = "unverifiable", str(exc)
+    else:
+        if not (k == "R" and n_prime % 2 == 1 and m >= 3):
+            status, detail = "unverifiable", "no frame-bundle projection available"
+        elif ker.is_whole:
+            status, detail = "ok", f"im(p_*) = ker(boundary) = {ker.canonical_form.describe()}"
+        else:
+            status, detail = "fail", (f"im(p_*) = {ker.ambient.describe()} but "
+                                      f"ker(boundary) = {ker.canonical_form.describe()}")
+    return {"check": "exactness", "instance": f"(K={k}, m={m}, n'={n_prime})",
+            "status": status, "detail": detail}
 
 
-def exactness_report(db: Database) -> list[ExactnessCheck]:
-    """Run every exactness instance the database can express: the K = R
-    instances with odd n', whose frame bundle has a section."""
-    checks = []
+def exactness_report(db: Database) -> list[dict]:
+    """The rows of every exactness instance the database can express: the
+    K = R instances with odd n', whose frame bundle has a section."""
     rng = db.range
-    for n_prime in range(3, rng.n_max + 1, 2):
-        for m in range(n_prime, n_prime + rng.stem_max):
-            checks.append(validate_exactness(db, "R", m, n_prime))
-    return checks
+    return [validate_exactness(db, "R", m, n_prime)
+            for n_prime in range(3, rng.n_max + 1, 2)
+            for m in range(n_prime, n_prime + rng.stem_max)]
+
+
+def stable_kernel_report(db: Database) -> list[dict]:
+    """The rows comparing the boundary kernel at K = R on every finite
+    window cell of the stable range, where :func:`_stable_boundary`
+    synthesizes the boundary, with the kernel of ``1 + (-1)^n``."""
+    rows = []
+    for m, n in db.range.cells():
+        if not m < 2 * n - 2:
+            continue
+        group = db.pi_sphere(m, n)
+        if group.free_rank:
+            continue
+        try:
+            ker = boundary_kernel(db, "R", m, n)
+        except GapError as exc:
+            status, detail = "unverifiable", str(exc)
+        else:
+            # memoized by value and compared on every call
+            factor = 1 + (-1) ** n
+            killed = db.memo(("killed", group, factor), None,
+                             lambda _: group.multiplication_by(factor).kernel())
+            status = "ok" if ker == killed else "fail"
+            detail = (f"kernel has {ker.order()} elements, "
+                      f"enumeration gives {killed.order()}")
+        rows.append({"check": "stable-kernel", "instance": f"({m},{n})",
+                     "status": status, "detail": detail})
+    return rows

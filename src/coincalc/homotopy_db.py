@@ -80,7 +80,7 @@ class Database:
     stage)``.  What ``validate-db`` reads, each keyed by the value it is
     derived from: the kernel of ``A - 1`` under ``("fixed", A)``, read
     once per classifier through ``ProjectiveClassifier.fixed``, the
-    kernel of multiplication by ``factor`` that the stable-kernel check
+    kernel of multiplication by ``factor`` that ``stable_kernel_report``
     compares with under ``("killed", group, factor)``, and the tuple of
     covered projective instances under ``("covered",)``.
     """

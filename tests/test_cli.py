@@ -221,6 +221,43 @@ def test_validate_db_without_a_suspension_record(capsys, tmp_path, db_doc):
          "detail": "no suspension record for pi_8(S^5)"}]
 
 
+def test_validate_db_reports_a_fail_row_of_each_kind(db):
+    """No table that loads reaches the exactness or stable-kernel
+    ``fail`` row, so two wrong boundary kernels are seeded into the memo
+    of a fresh table: each kind of check then reports its failure in
+    full, and no other check fails."""
+    from coincalc import cli
+    from coincalc.homotopy_db import Database
+
+    table = Database(db.range, db.sphere_records(), db.hom_records())
+    table.memo(("boundary_kernel", "R", 7, 3), None,
+               lambda _: table.pi_sphere(7, 3).trivial_subgroup())
+    table.memo(("boundary_kernel", "R", 9, 6), None,
+               lambda _: table.pi_sphere(9, 6).whole_subgroup())
+    assert [c for c in cli._run_db_checks(table) if c["status"] == "fail"] == [
+        {"check": "exactness", "instance": "(K=R, m=7, n'=3)", "status": "fail",
+         "detail": "im(p_*) = C2 but ker(boundary) = 0"},
+        {"check": "stable-kernel", "instance": "(9,6)", "status": "fail",
+         "detail": "kernel has 24 elements, enumeration gives 2"},
+        {"check": "case-exclusivity", "instance": "(K=R, m=9, n'=6)", "status": "fail",
+         "detail": "identity (i) fails: ker is not inside ker_susp"},
+    ]
+
+
+def test_validate_db_human_output_prints_one_line_per_check(capsys):
+    code, out = run(capsys, "validate-db")
+    _, doc, _ = run_machine(capsys, "validate-db")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[:2] == ["status: ok", "record_invariants: ok"]
+    assert lines[-2:] == ["failed: 0", "passed: True"]
+    checks = lines[2:-2]
+    assert len(checks) == 453
+    assert checks[0] == "  exactness (K=R, m=3, n'=3): ok (im(p_*) = ker(boundary) = Z)"
+    assert checks == [f"  {c['check']} {c['instance']}: {c['status']} ({c['detail']})"
+                      for c in doc["payload"]["checks"]]
+
+
 # --- one loaded table per process ------------------------------------------------------------
 
 
