@@ -15,7 +15,11 @@ Conventions used throughout:
 * homomorphism matrices have one row per codomain generator and one
   column per domain generator;
 * a subgroup of ``Z^n / L`` (``L`` the relation lattice) is handled as
-  the lattice spanned by its generators together with ``L``.
+  the lattice spanned by its generators together with ``L``;
+* the coordinate step :meth:`GroupHom.map_coords` and coordinate
+  membership :meth:`Subgroup.contains_coords` take reduced coordinate
+  tuples unchecked, so deciding a pair builds no element; the public
+  entry points still take :class:`GroupElement` values and check them.
 
 All lattice solving goes through one primitive: :func:`_lattice` takes
 the Smith normal form of a list of columns, and the resulting
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, inf, lcm, prod
-from operator import attrgetter
+from operator import attrgetter, mul
 
 from .errors import UsageError
 
@@ -135,7 +139,7 @@ def _mat_mul(a, b) -> list[list[int]]:
 def _mat_vec(a, v) -> list[int]:
     if a and len(a[0]) != len(v):
         raise UsageError("matrix/vector shape mismatch")
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 class _Snf(Record):
@@ -611,9 +615,14 @@ class GroupHom(Record):
     def __call__(self, elem: GroupElement) -> GroupElement:
         if elem.group != self.domain:
             raise UsageError("element is not in the domain")
-        return GroupElement(
-            self.codomain, tuple(_mat_vec(self.matrix, list(elem.coords)))
-        )
+        return GroupElement(self.codomain, self.map_coords(elem.coords))
+
+    def map_coords(self, coords: tuple[int, ...]) -> tuple[int, ...]:
+        """The reduced image of reduced domain coordinates, unchecked."""
+        out = [sum(map(mul, row, coords)) for row in self.matrix]
+        for i, t in enumerate(self.codomain.torsion, self.codomain.free_rank):
+            out[i] %= t
+        return tuple(out)
 
     def __matmul__(self, other: "GroupHom") -> "GroupHom":
         if not isinstance(other, GroupHom):
@@ -756,13 +765,17 @@ class Subgroup(Record):
 
     # -- membership ----------------------------------------------------------
 
-    def _coefficients(self, elem: GroupElement):
+    def _coords(self, elem: GroupElement) -> tuple[int, ...]:
         if elem.group != self.ambient:
             raise UsageError("element lives in a different ambient group")
-        return self._span.coefficients(elem.coords)
+        return elem.coords
 
     def contains(self, elem: GroupElement) -> bool:
-        return self._coefficients(elem) is not None
+        return self.contains_coords(self._coords(elem))
+
+    def contains_coords(self, coords: tuple[int, ...]) -> bool:
+        """Membership of reduced ambient coordinates, unchecked."""
+        return self._span.coefficients(coords) is not None
 
     def __contains__(self, elem) -> bool:
         return self.contains(elem)
@@ -770,7 +783,7 @@ class Subgroup(Record):
     def coordinates_of(self, elem: GroupElement) -> tuple[int, ...] | None:
         """Coordinates of ``elem`` against the canonical generators, or
         ``None`` when the element is not a member."""
-        w = self._coefficients(elem)
+        w = self._span.coefficients(self._coords(elem))
         return None if w is None else self.canonical_form.reduce(
             _mat_vec(self._to_canonical, w))
 

@@ -19,7 +19,6 @@ propagates instead of a guess.
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import inf
 
 from .abelian import FgAbGroup, GroupElement, GroupHom, Record, Subgroup
@@ -109,6 +108,19 @@ def _verdict(nielsen, mcc, mc, rule) -> CoincidenceVerdict:
     return CoincidenceVerdict(mcc == 0, nielsen, mcc, mc, rule)
 
 
+class _lazy:
+    """``functools.cached_property`` without the per-class lock of CPython 3.11;
+    concurrent first reads may both build, as ``Database.memo`` allows."""
+
+    def __init__(self, build):
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.name, self.build(obj))
+
+
 # ---------------------------------------------------------------------------
 # the suspension test, shared by the sphere and projective rules
 
@@ -145,16 +157,16 @@ class SphereClassifier:
         if not isinstance(z, GroupElement) or z.group != self.group:
             raise UsageError(f"class does not live in pi_{self.m}(S^{self.n})")
 
-    @cached_property
+    @_lazy
     def suspension_quotient(self) -> GroupHom:
         return _suspension_quotient(self.db, self.m, self.n, self.trace)
 
     def _loose_and_antipode(self, z1: GroupElement, z2: GroupElement):
-        """Whether the pair is loose, i.e. ``z1 = A(z2)``, and ``A(z2)``."""
+        """Whether the pair is loose, i.e. ``z1 = A(z2)``, and A(z2)'s coords."""
         self._check(z1)
         self._check(z2)
-        antipode = self.antipodal(z2)
-        return z1 == antipode, antipode
+        antipode = self.antipodal.map_coords(z2.coords)
+        return z1.coords == antipode, antipode
 
     def is_loose(self, z1: GroupElement, z2: GroupElement) -> bool:
         return self._loose_and_antipode(z1, z2)[0]
@@ -170,7 +182,7 @@ class SphereClassifier:
             Trace.note(self.trace, "circle-degree-count")
             return _verdict(k, k, k, "circle-degrees")
         q = self.suspension_quotient
-        if q(z1) == q(antipode):
+        if q.map_coords(z1.coords) == q.map_coords(antipode):
             Trace.note(self.trace, "sphere-suspended-difference")
             return _verdict(1, 1, 1, "sphere-suspended-difference")
         Trace.note(self.trace, "sphere-unsuspended-difference")
@@ -203,8 +215,10 @@ class ProjectiveClassifier:
     """Shared per-(K, m, n') data for classifying pairs into KP(n').
 
     Only the lift components of the classes matter; the summand missing a
-    point plays no role in looseness questions.  The instance data (the
-    antipodal map A on the lift group, the boundary kernel and its
+    point plays no role in looseness questions: :meth:`lift_component`
+    returns the reduced coordinates of a checked class's lift component,
+    which a decision reads without building an element.  The instance data
+    (the antipodal map A on the lift group, the boundary kernel and its
     suspended version, the projection modulo the suspension image) are
     attributes built on first read from the database's memo; a read that
     raises ``GapError`` stores nothing.  The seven cases are evaluated in
@@ -230,25 +244,26 @@ class ProjectiveClassifier:
 
     # lazy instance data ----------------------------------------------------
 
-    @cached_property
+    @_lazy
     def antipodal(self) -> GroupHom:
         n_lift = self.space.n + self.space.d - 1
         return self.db.antipodal(self.m, n_lift, self.trace)
 
-    @cached_property
+    @_lazy
     def kernel(self) -> Subgroup:
         return boundary_kernel(self.db, self.k, self.m, self.n_prime, self.trace)
 
-    @cached_property
+    @_lazy
     def suspended_kernel(self) -> Subgroup:
         return suspended_boundary_kernel(self.db, self.k, self.m, self.n_prime,
                                          self.trace)
 
-    @cached_property
+    @_lazy
     def suspension_quotient(self) -> GroupHom:
-        return _suspension_quotient(self.db, self.m, self.space.n, self.trace)
+        n_lift = self.space.n + self.space.d - 1
+        return _suspension_quotient(self.db, self.m, n_lift, self.trace)
 
-    @cached_property
+    @_lazy
     def fixed(self) -> Subgroup:
         """ker(A - 1), memoized under A itself: a kernel read under
         (m, n') could belong to a different A."""
@@ -257,14 +272,15 @@ class ProjectiveClassifier:
 
     # class plumbing -----------------------------------------------------------
 
-    def lift_component(self, x) -> GroupElement:
+    def lift_component(self, x) -> tuple[int, ...]:
+        """Reduced coordinates in pi_m(S^{n+d-1}) of the lift of ``x``."""
         if not isinstance(x, GroupElement):
             raise UsageError("expected a GroupElement of pi_m")
         if x.group != self.pg.total:
             raise UsageError("element does not live in pi_m of this space")
-        return self.pg.lift_projection(x)
+        return self.pg.lift_projection.map_coords(x.coords)
 
-    def freely_homotopic(self, z1: GroupElement, z2: GroupElement,
+    def freely_homotopic(self, z1: tuple[int, ...], z2: tuple[int, ...],
                          antipode=None) -> bool:
         """Base-point-free comparison of the projected classes.
 
@@ -275,21 +291,22 @@ class ProjectiveClassifier:
         caller that reads A(z2) itself too.
         """
         if self.k == "R":
-            return z1 == z2 or z1 == (antipode() if antipode else self.antipodal(z2))
+            return z1 == z2 or z1 == (
+                antipode() if antipode else self.antipodal.map_coords(z2))
         return z1 == z2
 
     # the seven cases -----------------------------------------------------------
 
-    def _case_predicates(self, z1: GroupElement, z2: GroupElement):
+    def _case_predicates(self, z1: tuple[int, ...], z2: tuple[int, ...]):
         real = self.k == "R"
         # each fact about the pair, computed on its first read; free
         # homotopy is case 1's first test, so it is read first anyway
         compute = {
-            "A(z2)": lambda: self.antipodal(z2),
-            "in ker": lambda: self.kernel.contains(z2),
-            "in ker_susp": lambda: self.suspended_kernel.contains(z2),
-            "suspended difference":
-                lambda: self.suspension_quotient(z1) == self.suspension_quotient(z2),
+            "A(z2)": lambda: self.antipodal.map_coords(z2),
+            "in ker": lambda: self.kernel.contains_coords(z2),
+            "in ker_susp": lambda: self.suspended_kernel.contains_coords(z2),
+            "suspended difference": lambda: (self.suspension_quotient.map_coords(z1)
+                                             == self.suspension_quotient.map_coords(z2)),
         }
         known = {}
 
@@ -624,7 +641,7 @@ class _ProjectiveSpaces(TargetFamily):
             Trace.note(trace, "projective-projections-differ")
             return LooseAnswer(False, "projective-projections-differ")
         ker = cls.kernel
-        ans = ker.contains(z1) or ker.contains(z2)
+        ans = ker.contains_coords(z1) or ker.contains_coords(z2)
         Trace.note(trace, "projective-frame-lift-test")
         return LooseAnswer(ans, "projective-frame-lift-test")
 

@@ -700,24 +700,76 @@ def test_lazy_case_facts_match_the_direct_oracle(db):
     homotopy, kernel memberships, the suspension test) on first use and
     skips what a case's earlier hypotheses rule out; on every pair of
     every covered instance of order <= 40 it must agree with the cases
-    evaluated outright."""
+    evaluated outright.  ``classify`` must answer with the first of them,
+    and ``loose_pair`` must agree with free homotopy and
+    ``Subgroup.contains`` on the boundary kernel, applied to elements."""
     from conftest import covered_projective_instances
+    from coincalc.fibration import boundary_kernel
     from coincalc.homotopy_db import Database
 
     oracle_db = Database(db.range, db.sphere_records(), db.hom_records())
-    pairs = 0
+    pairs = instances = 0
     for k, m, n_prime, cls in covered_projective_instances(db):
         if cls.pg.total.order() > 40:
             continue
         oracle = _case_oracle(oracle_db, k, m, n_prime)
+        kernel = boundary_kernel(oracle_db, k, m, n_prime)
+        space = ProjectiveSpace(k, n_prime)
+        anti = oracle_db.antipodal(m, space.n) if k == "R" else None
         inj = cls.pg.lift_injection
         lifts = list(cls.pg.sphere_group.enumerate_torsion_part())
         for z1 in lifts:
             for z2 in lifts:
-                got = cls.matching_cases(inj(z1), inj(z2))
-                assert got == oracle(z1, z2), (k, m, n_prime, z1.coords, z2.coords)
+                x1, x2 = inj(z1), inj(z2)
+                where = (k, m, n_prime, z1.coords, z2.coords)
+                expected = oracle(z1, z2)
+                assert cls.matching_cases(x1, x2) == expected, where
+                rule = cls.classify(x1, x2).rule
+                assert rule == f"projective-case-{expected[0]}", where
+                free = z1 == z2 or (anti is not None and z1 == anti(z2))
+                loose = free and (kernel.contains(z1) or kernel.contains(z2))
+                assert loose_pair(db, space, m, x1, x2).loose == loose, where
                 pairs += 1
-    assert pairs >= 7000
+        instances += 1
+    assert (instances, pairs) == (369, 7906)
+
+
+def test_sphere_answers_match_the_direct_oracle(db):
+    """On every pair of every finite pi_m(S^n) of order <= 64 in the
+    window, ``classify_sphere_pair`` and ``loose_pair`` agree with the
+    sphere rules evaluated on elements: A(z2) by ``GroupHom.__call__``,
+    looseness and the suspension test by element equality, the quotient
+    built afresh on a second database."""
+    from conftest import covered_sphere_instances
+    from coincalc.homotopy_db import Database
+
+    oracle_db = Database(db.range, db.sphere_records(), db.hom_records())
+    pairs = instances = 0
+    for m, n, group, _ in covered_sphere_instances(db):
+        if group.order() > 64:
+            continue
+        anti = oracle_db.antipodal(m, n)
+        q = None
+        elems = list(group.enumerate_torsion_part())
+        for z1 in elems:
+            for z2 in elems:
+                antipode = anti(z2)
+                if z1 == antipode:
+                    expected = (0, 0, 0), "sphere-loose"
+                else:
+                    if q is None:
+                        image = oracle_db.suspension(m - 1, n - 1).image()
+                        q = group.quotient_by(image)[1]
+                    if q(z1) == q(antipode):
+                        expected = (1, 1, 1), "sphere-suspended-difference"
+                    else:
+                        expected = (1, 1, inf), "sphere-unsuspended-difference"
+                v = classify_sphere_pair(db, m, n, z1, z2)
+                assert (v.numbers(), v.rule) == expected, (m, n, z1.coords, z2.coords)
+                assert loose_pair(db, Sphere(n), m, z1, z2).loose == (z1 == antipode)
+                pairs += 1
+        instances += 1
+    assert (instances, pairs) == (147, 10396)
 
 
 def _with_boundary_record(doc, k, m, n_prime, matrix):

@@ -10,6 +10,7 @@ import random
 import re
 import sys
 import threading
+from collections import Counter
 from math import inf
 
 import pytest
@@ -306,3 +307,97 @@ def test_a_warm_validate_db_builds_nothing_and_decides_every_identity(db, monkey
             assert ("__matmul__", id(q), id(cls.antipodal)) in compared
         nonzero[k] += 1
     assert sum(nonzero.values()) == 55
+
+
+def test_a_warm_decision_builds_no_element_hom_or_subgroup(db, monkeypatch):
+    """Once a table is warm, one classify or loose call decides its pair on
+    reduced coordinates: it builds no ``GroupElement`` (counted where
+    ``bench/tracer.py`` counts them, in ``__post_init__``), no
+    ``GroupHom`` and no ``Subgroup``."""
+    from coincalc.abelian import GroupElement, GroupHom, Subgroup
+
+    d = fresh(db)
+    rp = pi_projective(d, "R", 9, 6).total
+    cp = pi_projective(d, "C", 12, 4).total
+    s = d.pi_sphere(9, 6)
+    r1, r5, c1, c3 = rp.element([1]), rp.element([5]), cp.element([1]), cp.element([3])
+    s1, s5 = s.element([1]), s.element([5])
+    asks = {
+        "R, z1 = z2": (lambda: classify_projective_pair(d, "R", 9, 6, r1, r1),
+                       "projective-case-3"),
+        "R, z1 != z2": (lambda: classify_projective_pair(d, "R", 9, 6, r1, r5),
+                        "projective-case-4"),
+        "C, z1 = z2": (lambda: classify_projective_pair(d, "C", 12, 4, c1, c1),
+                       "projective-case-1"),
+        "C, z1 != z2": (lambda: classify_projective_pair(d, "C", 12, 4, c1, c3),
+                        "projective-case-7"),
+        "sphere": (lambda: classify_sphere_pair(d, 9, 6, s1, s5),
+                   "sphere-suspended-difference"),
+        "sphere loose": (lambda: loose_pair(d, Sphere(6), 9, s1, s5),
+                         "sphere-antipodal-test"),
+        "RP loose": (lambda: loose_pair(d, ProjectiveSpace("R", 6), 9, r1, r1),
+                     "projective-frame-lift-test"),
+    }
+    for ask, _ in asks.values():
+        ask()
+    builds = Counter()
+    for owner, name in ((GroupElement, "__post_init__"), (GroupHom, "__init__"),
+                        (Subgroup, "__init__")):
+        def counted(self, *args, _original=owner.__dict__[name], _owner=owner):
+            builds[_owner.__name__] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(owner, name, counted)
+    for label, (ask, rule) in asks.items():
+        assert ask().rule == rule, label
+        assert not builds, (label, builds)
+
+
+def test_the_decision_maps_act_on_the_lift_group(db):
+    """The decision feeds lift coordinates to A, the two boundary kernels
+    and the suspension quotient with no group check, so on every
+    projective instance of the window each of them that resolves must act
+    on the lift group pi_m(S^{n+d-1}), the codomain of the lift
+    projection; on every sphere cell A and the quotient act on pi_m(S^n)."""
+    from coincalc.coincidence import ProjectiveClassifier, SphereClassifier
+    from coincalc.homotopy_db import FIELDS, field_dim
+
+    rng = db.range
+    groups = {"antipodal": "domain", "kernel": "ambient",
+              "suspended_kernel": "ambient", "suspension_quotient": "domain"}
+    checked = Counter()
+    for k in FIELDS:
+        d = field_dim(k)
+        for n_prime in range(2, rng.n_max + 1):
+            for m in range(2, d * n_prime + d + rng.stem_max):
+                try:
+                    cls = ProjectiveClassifier(db, k, m, n_prime)
+                except GapError:
+                    continue
+                lift = cls.pg.sphere_group
+                assert cls.pg.lift_projection.codomain == lift
+                for attr, side in groups.items():
+                    try:
+                        value = getattr(cls, attr)
+                    except GapError:
+                        continue
+                    assert getattr(value, side) == lift, (k, m, n_prime, attr)
+                    checked[attr] += 1
+    for n in range(rng.n_min, rng.n_max + 1):
+        for m in range(1, n + rng.stem_max + 1):
+            try:
+                cls = SphereClassifier(db, m, n)
+            except GapError:
+                continue
+            assert cls.antipodal.domain == cls.group, (m, n)
+            checked["sphere antipodal"] += 1
+            try:
+                quotient = cls.suspension_quotient if min(m, n) >= 2 else None
+            except GapError:
+                continue
+            if quotient is not None:
+                assert quotient.domain == cls.group, (m, n)
+                checked["sphere suspension_quotient"] += 1
+    assert checked == {"antipodal": 459, "suspension_quotient": 455, "kernel": 410,
+                       "suspended_kernel": 410, "sphere antipodal": 172,
+                       "sphere suspension_quotient": 148}
