@@ -221,10 +221,11 @@ class ProjectiveClassifier:
     (the antipodal map A on the lift group, the boundary kernel and its
     suspended version, the projection modulo the suspension image) are
     attributes built on first read from the database's memo; a read that
-    raises ``GapError`` stores nothing.  The seven cases are evaluated in
-    listed order and read that data lazily, each fact about the pair at
-    most once, so cases whose hypotheses already fail do not demand
-    unavailable records.
+    raises ``GapError`` stores nothing.  :meth:`classify` walks one
+    decision tree, :meth:`_case`, to the first of the seven cases that
+    holds; it reads each fact about the pair at most once and only where
+    the case is still open, so a settled pair does not demand unavailable
+    records.
     """
 
     def __init__(self, db: Database, k: str, m: int, n_prime: int,
@@ -280,87 +281,63 @@ class ProjectiveClassifier:
             raise UsageError("element does not live in pi_m of this space")
         return self.pg.lift_projection.map_coords(x.coords)
 
-    def freely_homotopic(self, z1: tuple[int, ...], z2: tuple[int, ...],
-                         antipode=None) -> bool:
+    def freely_homotopic(self, z1: tuple[int, ...], z2: tuple[int, ...]) -> bool:
         """Base-point-free comparison of the projected classes.
 
         For K = R the deck transformation of the double cover acts on
         lift classes through the antipodal map, so the free class is the
         orbit {z, A(z)}; CP(n') and HP(n') are simply connected.
-        ``antipode``, when given, is a callable returning A(z2), for a
-        caller that reads A(z2) itself too.
         """
-        if self.k == "R":
-            return z1 == z2 or z1 == (
-                antipode() if antipode else self.antipodal.map_coords(z2))
-        return z1 == z2
+        return z1 == z2 or (self.k == "R" and z1 == self.antipodal.map_coords(z2))
 
     # the seven cases -----------------------------------------------------------
 
-    def _case_predicates(self, z1: tuple[int, ...], z2: tuple[int, ...]):
+    def _case(self, z1: tuple[int, ...], z2: tuple[int, ...]) -> int | None:
+        """The first of the seven cases that holds for a pair of lift
+        classes, or ``None`` when none does (inconsistent data)."""
         real = self.k == "R"
-        # each fact about the pair, computed on its first read; free
-        # homotopy is case 1's first test, so it is read first anyway
-        compute = {
-            "A(z2)": lambda: self.antipodal.map_coords(z2),
-            "in ker": lambda: self.kernel.contains_coords(z2),
-            "in ker_susp": lambda: self.suspended_kernel.contains_coords(z2),
-            "suspended difference": lambda: (self.suspension_quotient.map_coords(z1)
-                                             == self.suspension_quotient.map_coords(z2)),
-        }
-        known = {}
-
-        def fact(name):
-            if name not in known:
-                known[name] = compute[name]()
-            return known[name]
-
-        free = self.freely_homotopic(z1, z2, lambda: fact("A(z2)"))
-
-        def case1():
-            return free and fact("in ker")
-
-        def case2():
-            return free and fact("in ker_susp") and not fact("in ker")
-
-        def case3():
-            return real and free and z2 != fact("A(z2)")
-
-        def case4():
-            return real and not free and fact("suspended difference")
-
-        def case5():
-            return real and not fact("suspended difference")
-
-        def case6():
-            return not real and z1 == z2 and not fact("in ker_susp")
-
-        def case7():
-            return not real and z1 != z2
-
-        return {1: case1, 2: case2, 3: case3, 4: case4, 5: case5,
-                6: case6, 7: case7}
+        if not self.freely_homotopic(z1, z2):
+            if not real:
+                return 7
+            q = self.suspension_quotient
+            return 4 if q.map_coords(z1) == q.map_coords(z2) else 5
+        if self.kernel.contains_coords(z2):
+            return 1
+        if self.suspended_kernel.contains_coords(z2):
+            return 2
+        if not real:
+            return 6
+        # a free pair with z1 != z2 has A(z2) = z1 != z2
+        if z1 != z2 or z2 != self.antipodal.map_coords(z2):
+            return 3
+        # case 5 reads the cosets, which agree here as z1 = z2
+        self.suspension_quotient
+        return None
 
     def exclusivity_failure(self) -> str | None:
         """``None`` when every pair of lift classes matches exactly one of
         the seven cases; otherwise the subgroup identity that fails.
 
-        Derivation from :meth:`_case_predicates`, writing ker and ker_susp
-        for the boundary kernel and the suspended one, A for the antipodal
-        map and q for the projection modulo the suspension image:
+        Derivation along the tree of :meth:`_case`, which answers with the
+        first case that holds, writing ker and ker_susp for the boundary
+        kernel and the suspended one, A for the antipodal map and q for
+        the projection modulo the suspension image; the identities say
+        when that answer is the only case that holds:
 
-        * K = C, H.  A pair with z1 != z2 is case 7 alone.  A pair with
-          z1 = z2 = z is case 1 (z in ker), case 2 (z in ker_susp, not in
-          ker) or case 6 (z not in ker_susp), and it is exactly one of
-          them for every z iff (i) ker <= ker_susp.
-        * K = R.  Write fh for "z1 = z2 or z1 = A z2".  Without fh,
-          exactly one of cases 4 and 5 holds (q(z1) = q(z2) or not).
-          With fh, case 4 does not hold and, given (i), the number of
-          cases that hold is [z2 in ker_susp] + [A z2 != z2] + [q(z1) != q(z2)].
-          The pairs (z, z) make it one iff (ii) ker_susp = ker(A - 1).
-          Then the pairs (A z, z) with A z != z make it one iff
-          q(A z) = q(z), i.e. (iii) q o A = q as homomorphisms: im(A - 1)
-          lies in ker q, the suspension image.
+        * K = C, H.  The tree answers 7 for z1 != z2, which no other case
+          admits.  For z1 = z2 = z it answers 1 (z in ker), else 2 (z in
+          ker_susp), else 6.  Case 2 excludes ker, but case 6 holds beside
+          case 1 at each z in ker outside ker_susp, so the answer is
+          unique for every z iff (i) ker <= ker_susp.
+        * K = R.  Write fh for "z1 = z2 or z1 = A z2".  Without fh the
+          tree answers 4 or 5 by q(z1) = q(z2), and only those two cases
+          admit the pair.  With fh it tries 1, 2, 3, then 5, and case 4
+          does not hold; given (i), the number of cases that hold is
+          [z2 in ker_susp] + [A z2 != z2] + [q(z1) != q(z2)], and zero of
+          them is the tree's gap.  The pairs (z, z) make it one iff
+          (ii) ker_susp = ker(A - 1).  Then the pairs (A z, z) with
+          A z != z make it one iff q(A z) = q(z), i.e. (iii) q o A = q as
+          homomorphisms: im(A - 1) lies in ker q, the suspension image.
 
         (i) holds on consistent data, because a class the boundary kills
         stays killed after suspension.  For K = R the pair sweep
@@ -389,27 +366,40 @@ class ProjectiveClassifier:
         return None
 
     def classify(self, x1, x2) -> CoincidenceVerdict:
-        z1 = self.lift_component(x1)
-        z2 = self.lift_component(x2)
-        for idx, pred in self._case_predicates(z1, z2).items():
-            if pred():
-                Trace.note(self.trace, f"projective-case-{idx}")
-                n_, mcc, mc = _ROW_NUMBERS[idx]
-                return _verdict(n_, mcc, mc, f"projective-case-{idx}")
-        raise GapError(
-            f"no classification case matched for K={self.k}, m={self.m}, "
-            f"n'={self.n_prime}; this indicates a data inconsistency"
-        )
+        idx = self._case(self.lift_component(x1), self.lift_component(x2))
+        if idx is None:
+            raise GapError(
+                f"no classification case matched for K={self.k}, m={self.m}, "
+                f"n'={self.n_prime}; this indicates a data inconsistency"
+            )
+        Trace.note(self.trace, f"projective-case-{idx}")
+        return _verdict(*_ROW_NUMBERS[idx], f"projective-case-{idx}")
 
     def matching_cases(self, x1, x2) -> list[int]:
-        """Evaluate every case predicate (validation mode).
-
-        Exactly one case should hold for each pair; anything else is a
-        reportable finding about the instance data.
+        """Every case whose predicate holds, all seven evaluated: the
+        validation oracle for :meth:`classify`.  Exactly one case should
+        hold for each pair; anything else is a reportable finding about
+        the instance data.  It belongs with the tests and stays here only
+        because the benchmark in ``bench/`` binds it.
         """
         z1 = self.lift_component(x1)
         z2 = self.lift_component(x2)
-        return [i for i, pred in self._case_predicates(z1, z2).items() if pred()]
+        real = self.k == "R"
+        free = self.freely_homotopic(z1, z2)
+        in_ker = self.kernel.contains_coords(z2)
+        in_ker_susp = self.suspended_kernel.contains_coords(z2)
+        q = self.suspension_quotient if real else None
+        same_coset = real and q.map_coords(z1) == q.map_coords(z2)
+        holds = (
+            free and in_ker,
+            free and in_ker_susp and not in_ker,
+            real and free and z2 != self.antipodal.map_coords(z2),
+            real and not free and same_coset,
+            real and not same_coset,
+            not real and z1 == z2 and not in_ker_susp,
+            not real and z1 != z2,
+        )
+        return [i for i, h in enumerate(holds, 1) if h]
 
 
 def _fixed(a: GroupHom) -> Subgroup:

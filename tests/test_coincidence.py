@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from math import inf
@@ -618,14 +619,17 @@ def test_exclusivity_identities_reject_what_the_sweep_rejects(db, monkeypatch):
     """Mutants of the instance data (each kernel replaced by 0 or the whole
     lift group, A by +1 or -1, in every combination) are set on the
     classifier's instance dictionary, where its attributes keep what they
-    built; a mutant the pair sweep rejects must fail an identity too."""
-    import itertools
+    built; a mutant the pair sweep rejects must fail an identity too.
 
+    Inconsistent data is the only place where the order of the cases
+    matters, so on every pair of every mutant ``classify`` must also
+    answer with the first case ``matching_cases`` finds, and raise the
+    "no classification case matched" gap where it finds none."""
     from conftest import covered_projective_instances
     from coincalc import coincidence
 
     real_classifier = coincidence.ProjectiveClassifier
-    tried = swept_bad = identities_bad = 0
+    tried = swept_bad = identities_bad = pairs = gaps = 0
     for k, m, n_prime, cls in covered_projective_instances(db):
         if cls.pg.total.order() > 24:
             continue
@@ -656,7 +660,20 @@ def test_exclusivity_identities_reject_what_the_sweep_rejects(db, monkeypatch):
             tried += 1
             swept_bad += bool(bad)
             identities_bad += broken is not None
+            tree = mutant()
+            lifts = [tree.pg.lift_injection(z) for z in lift.enumerate_torsion_part()]
+            for x1, x2 in itertools.product(lifts, repeat=2):
+                where = (k, m, n_prime, combo, x1.coords, x2.coords)
+                first = tree.matching_cases(x1, x2)[:1]
+                if first:
+                    assert tree.classify(x1, x2).rule == f"projective-case-{first[0]}", where
+                else:
+                    with pytest.raises(GapError, match="no classification case matched"):
+                        tree.classify(x1, x2)
+                    gaps += 1
+                pairs += 1
     assert (tried, swept_bad, identities_bad) == (258, 130, 189)
+    assert (pairs, gaps) == (64572, 553)
 
 
 def _case_oracle(db, k, m, n_prime):
@@ -696,11 +713,11 @@ def _case_oracle(db, k, m, n_prime):
 
 
 def test_lazy_case_facts_match_the_direct_oracle(db):
-    """``matching_cases`` reads each fact about a pair (A(z2), free
-    homotopy, kernel memberships, the suspension test) on first use and
-    skips what a case's earlier hypotheses rule out; on every pair of
-    every covered instance of order <= 40 it must agree with the cases
-    evaluated outright.  ``classify`` must answer with the first of them,
+    """``matching_cases`` evaluates the seven predicates on the facts
+    the classifier reads (A(z2), free homotopy, kernel memberships on
+    coordinates, the suspension test on the memoized quotient); on every
+    pair of every covered instance of order <= 40 it must agree with the
+    cases evaluated outright.  ``classify`` must answer with the first of them,
     and ``loose_pair`` must agree with free homotopy and
     ``Subgroup.contains`` on the boundary kernel, applied to elements."""
     from conftest import covered_projective_instances
@@ -827,6 +844,39 @@ def test_validate_db_reports_a_broken_case_identity(db_doc, tmp_path, capsys):
               if c["check"] == "case-exclusivity" and c["status"] == "fail"]
     assert [c["instance"] for c in failed] == ["(K=R, m=6, n'=4)"]
     assert "ker(A - 1)" in failed[0]["detail"]
+
+
+def test_projective_case6_and_the_gap_from_boundary_records(db_doc):
+    """The two branches of the case tree the shipped table never reaches.
+    With the record pi_7(S^5) = C2 -> pi_6(S^3) = C12, g -> 6, the
+    generator leaves both kernels, so x = x is case 6.  With the
+    injective (R, 6, 4) record, ker_susp is zero while A fixes all of
+    C2: the pair (g, g) is free, A does not move g and the cosets agree,
+    so no case holds and ``classify`` reports the gap."""
+    from coincalc.fibration import pi_projective
+
+    d = _with_boundary_record(db_doc, "C", 7, 2, [[6]])
+    pg = pi_projective(d, "C", 7, 2)
+    x = pg.lift_injection(pg.sphere_group.element([1]))
+    trace = Trace()
+    v = classify_projective_pair(d, "C", 7, 2, x, x, trace)
+    assert (v.numbers(), v.rule) == ((1, 1, 1), "projective-case-6")
+    assert trace.entries == ["projective-splitting", "boundary-record",
+                             "suspension-record", "projective-case-6"]
+
+    d = _with_boundary_record(db_doc, "R", 6, 4, [[1]])
+    pg = pi_projective(d, "R", 6, 4)
+    lift = [pg.lift_injection(pg.sphere_group.element([c])) for c in (0, 1)]
+    # the gap first, on a fresh memo: it still reads case 5's quotient
+    trace = Trace()
+    with pytest.raises(GapError, match="no classification case matched for K=R, m=6, n'=4"):
+        classify_projective_pair(d, "R", 6, 4, lift[1], lift[1], trace)
+    assert trace.entries == ["projective-splitting", "boundary-record", "suspension-record",
+                             "antipodal-stable-negation", "suspension-record"]
+    rules = {(c1, c2): classify_projective_pair(d, "R", 6, 4, lift[c1], lift[c2]).rule
+             for c1, c2 in [(0, 0), (0, 1), (1, 0)]}
+    assert rules == {(0, 0): "projective-case-1", (0, 1): "projective-case-4",
+                     (1, 0): "projective-case-4"}
 
 
 def test_projective_real_case2_from_a_boundary_record(db_doc):
