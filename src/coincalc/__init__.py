@@ -34,7 +34,6 @@ from .errors import CoincalcError, DataError, GapError, UsageError
 from .fibration import (
     ProjectiveHomotopyGroup,
     ProjectiveSpace,
-    boundary_hom,
     boundary_kernel,
     pi_projective,
     suspended_boundary_kernel,
@@ -65,7 +64,6 @@ __all__ = [
     "Sphere",
     "Subgroup",
     "UsageError",
-    "boundary_hom",
     "boundary_kernel",
     "classify_projective_pair",
     "classify_sphere_pair",

@@ -615,7 +615,8 @@ class GroupHom(Record):
     def __call__(self, elem: GroupElement) -> GroupElement:
         if elem.group != self.domain:
             raise UsageError("element is not in the domain")
-        return GroupElement(self.codomain, self.map_coords(elem.coords))
+        # GroupElement reduces the image
+        return GroupElement(self.codomain, tuple(_mat_vec(self.matrix, elem.coords)))
 
     def map_coords(self, coords: tuple[int, ...]) -> tuple[int, ...]:
         """The reduced image of reduced domain coordinates, unchecked."""

@@ -29,7 +29,7 @@ from .fibration import (
     pi_projective,
     suspended_boundary_kernel,
 )
-from .homotopy_db import FIELDS, TRIVIAL_GROUP, Database, field_dim
+from .homotopy_db import FIELDS, TRIVIAL_GROUP, Database, field_dim, lift_dim
 from .trace import Trace
 
 
@@ -241,14 +241,12 @@ class ProjectiveClassifier:
         self.n_prime = n_prime
         self.trace = trace
         self.pg = pi_projective(db, k, m, n_prime, trace)
-        self.space = self.pg.space
 
     # lazy instance data ----------------------------------------------------
 
     @_lazy
     def antipodal(self) -> GroupHom:
-        n_lift = self.space.n + self.space.d - 1
-        return self.db.antipodal(self.m, n_lift, self.trace)
+        return self.db.antipodal(self.m, lift_dim(self.k, self.n_prime), self.trace)
 
     @_lazy
     def kernel(self) -> Subgroup:
@@ -261,8 +259,8 @@ class ProjectiveClassifier:
 
     @_lazy
     def suspension_quotient(self) -> GroupHom:
-        n_lift = self.space.n + self.space.d - 1
-        return _suspension_quotient(self.db, self.m, n_lift, self.trace)
+        return _suspension_quotient(self.db, self.m, lift_dim(self.k, self.n_prime),
+                                    self.trace)
 
     @_lazy
     def fixed(self) -> Subgroup:
@@ -460,10 +458,8 @@ def covered_projective_instances(db: Database) -> tuple:
 def _covered_projective_instances(db: Database):
     rng = db.range
     for k in FIELDS:
-        d = field_dim(k)
         for n_prime in range(2, rng.n_max + 1):
-            lift_n = d * n_prime + d - 1
-            for m in range(2, lift_n + rng.stem_max + 1):
+            for m in range(2, lift_dim(k, n_prime) + rng.stem_max + 1):
                 try:
                     cls = ProjectiveClassifier(db, k, m, n_prime)
                     if cls.pg.total.free_rank or cls.pg.sphere_group.free_rank:
@@ -601,11 +597,10 @@ class _Spheres(TargetFamily):
         return boundary_kernel(db, "R", m, space.n, trace)
 
     def transfer(self, db, space, m, trace):
-        group = db.pi_sphere(m, space.n)
-        quotient, proj = group.quotient_by(group.trivial_subgroup())
+        # pi_m(S^n) modulo its trivial subgroup is pi_m(S^n) itself
         a = db.antipodal(m, space.n, trace)
         Trace.note(trace, "transfer-sphere-antipodal")
-        return proj @ a @ proj.inverse()
+        return a
 
 
 class _ProjectiveSpaces(TargetFamily):

@@ -13,21 +13,17 @@ orthonormal-2-frame fibration
     S^{n-1} -> V_{n'+1,2}(K) -> S^{n+d-1}
 
 is the other ingredient: its kernel is exactly the set of lift classes
-that admit a second, coincidence-free companion map.
-
-For K = R the connecting homomorphism is multiplication by
-``1 + (-1)^n`` once both ends are identified along suspension, which is
-valid in the stable range ``m < 2n - 2``; for odd ``n`` the fibration
-has a section (complex scalar multiplication), so the boundary vanishes
-for every ``m``.  These rules come first; a cell they leave open is read
-from its database record, or else reported as a gap.
+that admit a second, coincidence-free companion map.  The homomorphism
+itself is a structure lookup, :meth:`~coincalc.homotopy_db.Database.boundary`,
+resolved like the suspensions and antipodal actions; this module builds
+its kernels and the ``validate-db`` rows that check them.
 """
 
 from __future__ import annotations
 
-from .abelian import FgAbGroup, GroupHom, Record, Subgroup
+from .abelian import Record, Subgroup
 from .errors import GapError, UsageError
-from .homotopy_db import TRIVIAL_GROUP, Database, field_dim
+from .homotopy_db import TRIVIAL_GROUP, Database, field_dim, lift_dim
 from .trace import Trace
 
 
@@ -90,7 +86,7 @@ def _pi_projective(
     if m < 2 or n_prime < 2:
         raise UsageError("pi_m(KP(n')) is computed for m, n' >= 2 only")
     d = space.d
-    sphere = db.pi_sphere(m, space.n + d - 1)
+    sphere = db.pi_sphere(m, lift_dim(k, n_prime))
     if d == 1:
         # S^0 is discrete: no nontrivial classes miss a point for m >= 2
         c_group = TRIVIAL_GROUP
@@ -111,51 +107,7 @@ def _pi_projective(
 
 
 # ---------------------------------------------------------------------------
-# connecting homomorphism of the frame fibration
-
-
-def _stable_boundary(db: Database, dom: FgAbGroup, m: int, n: int,
-                     trace: Trace | None) -> GroupHom:
-    """Boundary ``dom`` = pi_m(S^n) -> pi_{m-1}(S^{n-1}) of the unit tangent
-    bundle for even n, synthesized in the stable range m < 2n - 2.
-
-    The map is multiplication by ``1 + (-1)^n = 2`` transported along the
-    suspension identification; only its kernel is contractual, the
-    overall sign is a convention.
-    """
-    susp = db.suspension(m - 1, n - 1, trace)
-    Trace.note(trace, "stable-boundary-transport")
-    return susp.inverse() @ dom.multiplication_by(2)
-
-
-def boundary_hom(
-    db: Database, k: str, m: int, n_prime: int, trace: Trace | None = None
-) -> GroupHom:
-    """Connecting homomorphism pi_m(S^{n+d-1}) -> pi_{m-1}(S^{n-1}) of the
-    orthonormal-2-frame fibration over KP(n').
-
-    Resolution order, as for every structure lookup: the rules, forced
-    zero (trivial side, or K = R with odd n where the fibration has a
-    section) and the stable-range synthesis for K = R; then the database
-    record; then a gap that callers surface verbatim.
-    """
-    d = field_dim(k)
-    n = d * n_prime
-    dom = db.pi_sphere(m, n + d - 1)
-    # for n = 1 the fiber is the discrete sphere S^0
-    cod = TRIVIAL_GROUP if n == 1 else db.pi_sphere(m - 1, n - 1)
-    if dom.is_trivial or cod.is_trivial:
-        Trace.note(trace, "boundary-trivial-side")
-        return GroupHom.zero(dom, cod)
-    if k == "R" and n % 2 == 1:
-        # complex scalar multiplication sections the frame bundle
-        Trace.note(trace, "boundary-section-zero")
-        return GroupHom.zero(dom, cod)
-    if k == "R" and m < 2 * n - 2:
-        return _stable_boundary(db, dom, m, n, trace)
-    gap = (f"boundary unknown: ({m},{n}) is outside the stable range m < 2n-2" if k == "R"
-           else f"boundary unknown for K = {k}, m = {m}, n' = {n_prime}: no record")
-    return db.record("boundary", k, m, n_prime, trace, gap)
+# kernels of the frame-fibration boundary
 
 
 def boundary_kernel(
@@ -163,7 +115,7 @@ def boundary_kernel(
 ) -> Subgroup:
     """Kernel of the connecting homomorphism, inside pi_m(S^{n+d-1})."""
     return db.memo(("boundary_kernel", k, m, n_prime), trace,
-                   lambda t: boundary_hom(db, k, m, n_prime, t).kernel())
+                   lambda t: db.boundary(k, m, n_prime, t).kernel())
 
 
 def suspended_boundary_kernel(
@@ -182,7 +134,7 @@ def suspended_boundary_kernel(
 def _suspended_boundary_kernel(
     db: Database, k: str, m: int, n_prime: int, trace: Trace
 ) -> Subgroup:
-    bnd = boundary_hom(db, k, m, n_prime, trace)
+    bnd = db.boundary(k, m, n_prime, trace)
     if bnd.is_zero:
         return bnd.domain.whole_subgroup()
     n = field_dim(k) * n_prime
@@ -230,7 +182,7 @@ def exactness_report(db: Database) -> list[dict]:
 
 def stable_kernel_report(db: Database) -> list[dict]:
     """The rows comparing the boundary kernel at K = R on every finite
-    window cell of the stable range, where :func:`_stable_boundary`
+    window cell of the stable range, where :meth:`Database.boundary`
     synthesizes the boundary, with the kernel of ``1 + (-1)^n``."""
     rows = []
     for m, n in db.range.cells():

@@ -18,7 +18,10 @@ Analytic rules that never need a record:
   suspension ``pi_n(S^n) -> pi_{n+1}(S^{n+1})`` is the identity;
 * the antipodal action is the identity for odd ``n`` (the antipodal map
   is homotopic to the identity) and multiplication by ``(-1)^{n+1}``
-  in the stable range ``m < 2n - 1``.
+  in the stable range ``m < 2n - 1``;
+* a frame-fibration boundary (:meth:`Database.boundary`) is zero on a
+  trivial side or for K = R with odd ``n``, and synthesized from the
+  suspension for K = R in the stable range ``m < 2n - 2``.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ def field_dim(k: str) -> int:
     return FIELD_DIM[k]
 
 
+def lift_dim(k: str, n_prime: int) -> int:
+    """d(n'+1) - 1, the dimension of the lift sphere S^{n+d-1} over KP(n')."""
+    return field_dim(k) * (n_prime + 1) - 1
+
+
 class SphereGroupRecord(Record):
     __slots__ = ("m", "n", "group", "provenance")
 
@@ -71,6 +79,10 @@ class DatabaseRange(Record):
 
 class Database:
     """Immutable lookup service; raises ``GapError`` for uncovered cells.
+
+    The structure homs :meth:`suspension`, :meth:`antipodal` and
+    :meth:`boundary` resolve rule, then :meth:`record`, then gap, all
+    between the groups :meth:`hom_groups` gives their cell.
 
     Derived values are built once per database through :meth:`memo`;
     this is the one list of its keys.  Instance data: ``("pi_projective",
@@ -148,12 +160,25 @@ class Database:
             raise GapError(f"pi_{m}(S^{n}) is not in the database")
         return rec.group
 
-    # -- suspensions ----------------------------------------------------------
+    # -- structure homs --------------------------------------------------------
+
+    def hom_groups(self, kind: str, k: str | None, m: int, n: int):
+        """``(domain, codomain)`` of the ``kind`` hom of a cell, keyed as in
+        ``StructureHomRecord``: the one geometry every lookup and every
+        record of the kind maps between."""
+        if kind == "suspension":
+            return self.pi_sphere(m, n), self.pi_sphere(m + 1, n + 1)
+        if kind == "antipodal":
+            group = self.pi_sphere(m, n)
+            return group, group
+        # boundary over KP(n); for dn = 1 the fiber is the discrete S^0
+        dom = self.pi_sphere(m, lift_dim(k, n))
+        fiber = field_dim(k) * n - 1
+        return dom, TRIVIAL_GROUP if fiber == 0 else self.pi_sphere(m - 1, fiber)
 
     def suspension(self, m: int, n: int, trace: Trace | None = None) -> GroupHom:
         """Suspension homomorphism pi_m(S^n) -> pi_{m+1}(S^{n+1})."""
-        dom = self.pi_sphere(m, n)
-        cod = self.pi_sphere(m + 1, n + 1)
+        dom, cod = self.hom_groups("suspension", None, m, n)
         if m == n:
             Trace.note(trace, "suspension-degree")
             return GroupHom(dom, cod, [[1]])
@@ -171,7 +196,7 @@ class Database:
                          lambda t: self._antipodal(m, n, t))
 
     def _antipodal(self, m: int, n: int, trace: Trace) -> GroupHom:
-        g = self.pi_sphere(m, n)
+        g, _ = self.hom_groups("antipodal", None, m, n)
         if n % 2 == 1:
             Trace.note(trace, "antipodal-odd-identity")
             return g.identity_hom()
@@ -181,6 +206,31 @@ class Database:
         return self.record("antipodal", None, m, n, trace,
                            f"antipodal action unknown for pi_{m}(S^{n}) "
                            "(unstable, even n, no record)")
+
+    # -- frame-fibration boundaries -----------------------------------------------
+
+    def boundary(self, k: str, m: int, n_prime: int,
+                 trace: Trace | None = None) -> GroupHom:
+        """Connecting homomorphism pi_m(S^{n+d-1}) -> pi_{m-1}(S^{n-1}) of the
+        frame fibration S^{n-1} -> V_{n'+1,2}(K) -> S^{n+d-1}, n = d n'.
+        Zero on a trivial side, or for K = R with odd n (complex scalar
+        multiplication is a section); for K = R with m < 2n - 2, 2 = 1 + (-1)^n
+        along the suspension (only its kernel is contractual)."""
+        dom, cod = self.hom_groups("boundary", k, m, n_prime)
+        if dom.is_trivial or cod.is_trivial:
+            Trace.note(trace, "boundary-trivial-side")
+            return GroupHom.zero(dom, cod)
+        n = field_dim(k) * n_prime
+        if k == "R" and n % 2 == 1:
+            Trace.note(trace, "boundary-section-zero")
+            return GroupHom.zero(dom, cod)
+        if k == "R" and m < 2 * n - 2:
+            susp = self.suspension(m - 1, n - 1, trace)
+            Trace.note(trace, "stable-boundary-transport")
+            return susp.inverse() @ dom.multiplication_by(2)
+        gap = (f"boundary unknown: ({m},{n}) is outside the stable range m < 2n-2" if k == "R"
+               else f"boundary unknown for K = {k}, m = {m}, n' = {n_prime}: no record")
+        return self.record("boundary", k, m, n_prime, trace, gap)
 
     # -- the record step ------------------------------------------------------------
 
@@ -376,8 +426,6 @@ def _parse_hom(db: Database, i: int, rec: dict) -> StructureHomRecord:
             n = rec.get("n")
             _require(_is_int(n), f"{name} (m={m}): n must be an integer")
             where = f"{kind} ({m},{n})"
-            dom = db.pi_sphere(m, n)
-            cod = db.pi_sphere(m + 1, n + 1) if kind == "suspension" else dom
         else:
             _require(k in FIELDS, f"{name} (m={m}): K must be R, C or H")
             _known_keys(rec, _BOUNDARY_KEYS, f"{name} (m={m})")
@@ -385,10 +433,7 @@ def _parse_hom(db: Database, i: int, rec: dict) -> StructureHomRecord:
             _require(_is_int(n) and n >= 2,
                      f"{name} (m={m}): nprime must be an integer >= 2")
             where = f"{kind} ({k},{m},{n})"
-            d = FIELD_DIM[k]
-            dom = db.pi_sphere(m, d * n + d - 1)
-            cod = db.pi_sphere(m - 1, d * n - 1)
-        hom = GroupHom(dom, cod, matrix)
+        hom = GroupHom(*db.hom_groups(kind, k, m, n), matrix)
     except (UsageError, GapError) as exc:
         # a bad matrix, or a cell the sphere records do not cover
         raise DataError(f"{where}: {exc}") from exc
@@ -400,12 +445,10 @@ def _validate_structure(db: Database):
     before boundaries, whose stable synthesis inverts them; a lookup that
     gaps fails the record as well.  Freudenthal and involution checks on
     stored homs; Freudenthal on the groups of every pair of window cells."""
-    from .fibration import boundary_hom  # fibration imports this module
-
     # unmemoized lookups, so that loading leaves the memo empty
     lookup = {"suspension": lambda rec: db.suspension(rec.m, rec.n),
               "antipodal": lambda rec: db._antipodal(rec.m, rec.n, None),
-              "boundary": lambda rec: boundary_hom(db, rec.field, rec.m, rec.n)}
+              "boundary": lambda rec: db.boundary(rec.field, rec.m, rec.n)}
     for rec in db.sphere_records():
         _read_back(f"sphere_groups[{rec.m},{rec.n}]", db.pi_sphere(rec.m, rec.n),
                    rec.group)

@@ -507,6 +507,23 @@ def test_transfer_sphere(db):
     t_even = transfer_isomorphism(db, Sphere(6), 9)
     assert t_even.domain == FgAbGroup(0, (24,))
     assert t_even == t_even.domain.multiplication_by(-1)
+    # pi_m(S^n) modulo its trivial subgroup is pi_m(S^n): the transfer is
+    # the antipodal action on every window cell where that resolves
+    window = db.range
+    resolved = 0
+    for n in range(window.n_min, window.n_max + 1):
+        for m in range(1, n + window.stem_max + 1):
+            rule = Trace()
+            try:
+                a = db.antipodal(m, n, rule)
+            except GapError:
+                continue
+            trace = Trace()
+            assert transfer_isomorphism(db, Sphere(n), m, trace) == a, (m, n)
+            assert trace.entries == [*rule.entries, "transfer-sphere-antipodal"], (m, n)
+            assert len(rule.entries) == 1, (m, n)
+            resolved += 1
+    assert resolved == 172
 
 
 def test_transfer_projective_identity_on_quotient(db):
@@ -681,11 +698,9 @@ def _case_oracle(db, k, m, n_prime):
     kernels by applying the boundary, the suspension test on ``z1 - z2``
     with ``Subgroup.contains``, nothing read through the classifier and
     no case skipped."""
-    from coincalc.fibration import boundary_hom
-
     n = ProjectiveSpace(k, n_prime).n
     real = k == "R"
-    bnd = boundary_hom(db, k, m, n_prime)
+    bnd = db.boundary(k, m, n_prime)
     susp_bnd = None if bnd.is_zero else db.suspension(m - 1, n - 1) @ bnd
     if real:
         anti = db.antipodal(m, n)

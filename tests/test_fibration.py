@@ -11,7 +11,6 @@ from coincalc.abelian import FgAbGroup, GroupHom
 from coincalc.errors import DataError, GapError, UsageError
 from coincalc.fibration import (
     ProjectiveSpace,
-    boundary_hom,
     boundary_kernel,
     exactness_report,
     pi_projective,
@@ -90,7 +89,7 @@ def test_split_roundtrip(db):
 
 
 def test_stable_boundary_kernel_rp6(db):
-    b = boundary_hom(db, "R", 9, 6)
+    b = db.boundary("R", 9, 6)
     ker = b.kernel()
     assert ker.canonical_form == FgAbGroup(0, (2,))
     # oracle: exactly the elements killed by 1 + (-1)^n = 2
@@ -101,7 +100,7 @@ def test_stable_boundary_kernel_rp6(db):
 
 
 def test_stable_boundary_odd_n_zero(db):
-    b = boundary_hom(db, "R", 9, 5)
+    b = db.boundary("R", 9, 5)
     assert b.is_zero
     assert boundary_kernel(db, "R", 9, 5) == db.pi_sphere(9, 5).whole_subgroup()
 
@@ -117,12 +116,12 @@ def test_stable_boundary_refuses_metastable_edge(db):
     # m = 2n - 2 sits outside the validity range of the identification;
     # (10, 6) has a trivial side, so the edge is read at (6, 4)
     with pytest.raises(GapError, match="stable range"):
-        boundary_hom(db, "R", 6, 4)
+        db.boundary("R", 6, 4)
 
 
 def test_boundary_trivial_target_forced_zero(db):
     # RP(2): the fiber sphere is a circle, so the boundary target dies
-    b = boundary_hom(db, "R", 9, 2)
+    b = db.boundary("R", 9, 2)
     assert b.is_zero
     assert boundary_kernel(db, "R", 9, 2) == db.pi_sphere(9, 2).whole_subgroup()
 
@@ -153,7 +152,7 @@ def test_suspended_kernel_rp6(db):
 def test_boundary_unknown_even_unstable(db):
     # RP(4) at m = 8: beyond the stable range, no record shipped
     with pytest.raises(GapError):
-        boundary_hom(db, "R", 8, 4)
+        db.boundary("R", 8, 4)
 
 
 # --- exactness ------------------------------------------------------------------------

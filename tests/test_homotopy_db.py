@@ -10,9 +10,11 @@ import pytest
 from coincalc.abelian import FgAbGroup
 from coincalc.errors import DataError, GapError
 from coincalc.homotopy_db import (
+    FIELDS,
     HOM_KINDS,
     SCHEMA_PATH,
     build_database,
+    lift_dim,
     load_database,
     load_default_database,
 )
@@ -207,14 +209,44 @@ def test_antipodal_involution_wherever_defined(db):
     assert defined > 80
 
 
+# --- structure-hom geometry ----------------------------------------------------------------
+
+
+def test_every_rule_answers_on_its_records_groups(db):
+    # a rule maps between the groups a record of its cell would: suspension
+    # and antipodal lookups one stem past the window, boundary lookups at
+    # every instance the covered-instance walk reads, from n' = 1
+    rng = db.range
+    lookups = {"suspension": [], "antipodal": []}
+    for n in range(1, rng.n_max + 1):
+        for m in range(1, rng.n_max + rng.stem_max + 2):
+            for kind in lookups:
+                lookups[kind].append((getattr(db, kind), (m, n), (None, m, n)))
+    lookups["boundary"] = [
+        (db.boundary, (k, m, n_prime), (k, m, n_prime))
+        for k in FIELDS
+        for n_prime in range(1, rng.n_max + 1)
+        for m in range(2, lift_dim(k, n_prime) + rng.stem_max + 1)
+    ]
+    resolved = {}
+    for kind, calls in lookups.items():
+        resolved[kind] = 0
+        for lookup, args, cell in calls:
+            try:
+                hom = lookup(*args)
+            except GapError:
+                continue
+            assert (hom.domain, hom.codomain) == db.hom_groups(kind, *cell), (kind, cell)
+            resolved[kind] += 1
+    assert resolved == {"suspension": 162, "antipodal": 184, "boundary": 620}
+
+
 # --- boundary records ----------------------------------------------------------------------
 
 
 def test_quaternionic_boundary_unknown(db):
-    from coincalc.fibration import boundary_hom
-
     with pytest.raises(GapError, match="boundary unknown"):
-        boundary_hom(db, "H", 11, 2)
+        db.boundary("H", 11, 2)
 
 
 def test_boundary_record_used_when_present(tmp_path, db_doc):
@@ -224,9 +256,9 @@ def test_boundary_record_used_when_present(tmp_path, db_doc):
          "matrix": [[2]], "provenance": "synthetic test record"}
     )
     db2 = load_database(write_db(tmp_path, db_doc))
-    from coincalc.fibration import boundary_hom, boundary_kernel
+    from coincalc.fibration import boundary_kernel
 
-    b = boundary_hom(db2, "H", 11, 2)
+    b = db2.boundary("H", 11, 2)
     assert b.matrix == ((2,),)
     # kernel of Z -> C24, x -> 2x is the subgroup 12Z, infinite cyclic
     ker = boundary_kernel(db2, "H", 11, 2)
