@@ -108,6 +108,17 @@ def _verdict(nielsen, mcc, mc, rule) -> CoincidenceVerdict:
     return CoincidenceVerdict(mcc == 0, nielsen, mcc, mc, rule)
 
 
+# every verdict but the circle's is one of these, built and checked once
+_SPHERE_LOOSE = _verdict(0, 0, 0, "sphere-loose")
+_SPHERE_SUSPENDED = _verdict(1, 1, 1, "sphere-suspended-difference")
+_SPHERE_UNSUSPENDED = _verdict(1, 1, inf, "sphere-unsuspended-difference")
+_PROJECTIVE_VERDICTS = {
+    i: _verdict(*numbers, f"projective-case-{i}")
+    for i, numbers in enumerate([(0, 0, 0), (0, 1, 1), (1, 1, 1), (2, 2, 2),
+                                 (2, 2, inf), (1, 1, 1), (1, 1, inf)], 1)
+}
+
+
 class _lazy:
     """``functools.cached_property`` without the per-class lock of CPython 3.11;
     concurrent first reads may both build, as ``Database.memo`` allows."""
@@ -175,7 +186,7 @@ class SphereClassifier:
         loose, antipode = self._loose_and_antipode(z1, z2)
         if loose:
             Trace.note(self.trace, "sphere-antipodal-match")
-            return _verdict(0, 0, 0, "sphere-loose")
+            return _SPHERE_LOOSE
         if self.m == 1 and self.n == 1:
             # classes are degrees; the coincidence count is their distance
             k = abs(z1.coords[0] - z2.coords[0])
@@ -184,9 +195,9 @@ class SphereClassifier:
         q = self.suspension_quotient
         if q.map_coords(z1.coords) == q.map_coords(antipode):
             Trace.note(self.trace, "sphere-suspended-difference")
-            return _verdict(1, 1, 1, "sphere-suspended-difference")
+            return _SPHERE_SUSPENDED
         Trace.note(self.trace, "sphere-unsuspended-difference")
-        return _verdict(1, 1, inf, "sphere-unsuspended-difference")
+        return _SPHERE_UNSUSPENDED
 
 
 def classify_sphere_pair(
@@ -198,17 +209,6 @@ def classify_sphere_pair(
 
 # ---------------------------------------------------------------------------
 # projective spaces
-
-
-_ROW_NUMBERS = {
-    1: (0, 0, 0),
-    2: (0, 1, 1),
-    3: (1, 1, 1),
-    4: (2, 2, 2),
-    5: (2, 2, inf),
-    6: (1, 1, 1),
-    7: (1, 1, inf),
-}
 
 
 class ProjectiveClassifier:
@@ -268,6 +268,12 @@ class ProjectiveClassifier:
         (m, n') could belong to a different A."""
         a = self.antipodal
         return self.db.memo(("fixed", a), self.trace, lambda _: _fixed(a))
+
+    @_lazy
+    def quotient_of_antipode(self) -> GroupHom:
+        """q o A, memoized under q and A themselves, as :attr:`fixed` is."""
+        q, a = self.suspension_quotient, self.antipodal
+        return self.db.memo(("compose", q, a), self.trace, lambda _: q @ a)
 
     # class plumbing -----------------------------------------------------------
 
@@ -342,8 +348,9 @@ class ProjectiveClassifier:
         (:func:`exclusivity_violations`) cannot see a failure of (i) with
         ker_susp <= ker = ker(A - 1), so the identities are the stricter
         test.  Each is one subgroup or homomorphism comparison (torsion
-        rows are stored reduced, so equal maps have equal matrices); no
-        element is built.
+        rows are stored reduced, so equal maps have equal matrices) of
+        values the database memoizes, ker(A - 1) and q o A under the maps
+        they are built from; no element is built.
 
         A zero lift group is decided by rule: there ker, ker_susp and
         ker(A - 1) are all the zero subgroup, and q o A and q are both the
@@ -358,8 +365,7 @@ class ProjectiveClassifier:
             return None
         if self.fixed != ker_susp:
             return "identity (ii) fails: ker_susp != ker(A - 1)"
-        q = self.suspension_quotient
-        if q @ self.antipodal != q:
+        if self.quotient_of_antipode != self.suspension_quotient:
             return "identity (iii) fails: im(A - 1) is not inside the suspension image"
         return None
 
@@ -370,8 +376,9 @@ class ProjectiveClassifier:
                 f"no classification case matched for K={self.k}, m={self.m}, "
                 f"n'={self.n_prime}; this indicates a data inconsistency"
             )
-        Trace.note(self.trace, f"projective-case-{idx}")
-        return _verdict(*_ROW_NUMBERS[idx], f"projective-case-{idx}")
+        verdict = _PROJECTIVE_VERDICTS[idx]
+        Trace.note(self.trace, verdict.rule)
+        return verdict
 
     def matching_cases(self, x1, x2) -> list[int]:
         """Every case whose predicate holds, all seven evaluated: the
@@ -478,15 +485,21 @@ def exclusivity_report(db: Database) -> list[dict]:
     ``status`` ("ok" or "fail") and ``detail``, that report
     :meth:`ProjectiveClassifier.exclusivity_failure` for each covered
     instance of order at most 40.  The cap only keeps the list at its
-    pinned 369 instances; the 5 of the 374 it skips have order 120 or 240."""
+    pinned 369 instances; the 5 of the 374 it skips have order 120 or 240.
+
+    Which instances are checked does not change between calls, so their
+    labels and classifiers are memoized per database; every call decides
+    ``exclusivity_failure`` again on each of them and builds fresh rows."""
+    checks = db.memo(("exclusivity_checks",), None, lambda _: tuple(
+        (f"(K={k}, m={m}, n'={n_prime})", cls)
+        for k, m, n_prime, cls in covered_projective_instances(db)
+        if cls.pg.total.order() <= 40))
     rows = []
-    for k, m, n_prime, cls in covered_projective_instances(db):
-        if cls.pg.total.order() <= 40:
-            broken = cls.exclusivity_failure()
-            rows.append({"check": "case-exclusivity",
-                         "instance": f"(K={k}, m={m}, n'={n_prime})",
-                         "status": "fail" if broken else "ok",
-                         "detail": broken or "0 pair(s) matched by != 1 case"})
+    for label, cls in checks:
+        broken = cls.exclusivity_failure()
+        rows.append({"check": "case-exclusivity", "instance": label,
+                     "status": "fail" if broken else "ok",
+                     "detail": broken or "0 pair(s) matched by != 1 case"})
     return rows
 
 

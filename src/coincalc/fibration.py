@@ -64,7 +64,7 @@ class ProjectiveHomotopyGroup(Record):
     ``c_injection`` embeds the classes that miss a point.
     """
 
-    __slots__ = ("space", "m", "total", "sphere_group", "c_group", "lift_injection",
+    __slots__ = ("m", "total", "sphere_group", "c_group", "lift_injection",
                  "c_injection", "lift_projection")
 
     def c_subgroup(self) -> Subgroup:
@@ -82,10 +82,9 @@ def pi_projective(
 def _pi_projective(
     db: Database, k: str, m: int, n_prime: int, trace: Trace
 ) -> ProjectiveHomotopyGroup:
-    space = ProjectiveSpace(k, n_prime)
+    d = ProjectiveSpace(k, n_prime).d  # refuses a bad K or n' < 1 first
     if m < 2 or n_prime < 2:
         raise UsageError("pi_m(KP(n')) is computed for m, n' >= 2 only")
-    d = space.d
     sphere = db.pi_sphere(m, lift_dim(k, n_prime))
     if d == 1:
         # S^0 is discrete: no nontrivial classes miss a point for m >= 2
@@ -95,7 +94,6 @@ def _pi_projective(
     Trace.note(trace, "projective-splitting")
     ds = sphere.direct_sum(c_group)
     return ProjectiveHomotopyGroup(
-        space=space,
         m=m,
         total=ds.group,
         sphere_group=sphere,

@@ -71,6 +71,14 @@ def test_pi_projective_preconditions(db):
         pi_projective(db, "R", 1, 6)
     with pytest.raises(UsageError):
         pi_projective(db, "R", 9, 1)
+    # the field and n' >= 1 are refused before the degree range, at any m
+    for m in (1, 9):
+        with pytest.raises(UsageError) as exc:
+            pi_projective(db, "Q", m, 6)
+        assert str(exc.value) == "unknown coefficient field 'Q'; expected R, C or H"
+        with pytest.raises(UsageError) as exc:
+            pi_projective(db, "R", m, 0)
+        assert str(exc.value) == "projective space needs n' >= 1"
 
 
 def test_split_roundtrip(db):
