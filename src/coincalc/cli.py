@@ -164,30 +164,29 @@ def _parse_q(text: str):
         raise UsageError("--q must be a positive integer or 'inf'") from exc
 
 
-def _space_from_args(args) -> coincidence.Space:
-    kind = args.space
-    if kind == "sphere":
-        if args.n is None:
-            raise UsageError("--space sphere requires --n")
-        return Sphere(args.n)
-    if kind in ("rp", "cp", "hp"):
-        if args.nprime is None:
-            raise UsageError(f"--space {kind} requires --nprime")
-        return ProjectiveSpace({"rp": "R", "cp": "C", "hp": "H"}[kind], args.nprime)
-    if kind == "grassmann":
-        if args.r is None:
-            raise UsageError("--space grassmann requires --r")
-        return Grassmannian2(args.r)
-    raise UsageError(f"unknown space {kind!r}")
+# each --space name: its dimension flag, the constructor of its space
+# from that flag's value, and the payload fields that name the space
+# besides the name, the flag's value and the dimension
+_SPACES = {
+    "sphere": ("n", Sphere, {}),
+    "rp": ("nprime", functools.partial(ProjectiveSpace, "R"), {"K": "R"}),
+    "cp": ("nprime", functools.partial(ProjectiveSpace, "C"), {"K": "C"}),
+    "hp": ("nprime", functools.partial(ProjectiveSpace, "H"), {"K": "H"}),
+    "grassmann": ("r", Grassmannian2, {}),
+}
 
 
 def _target(args):
     """The space a space command's rules read, their family and the
     payload head, which names the space as given."""
-    given = _space_from_args(args)
+    flag, build, fields = _SPACES[args.space]
+    value = getattr(args, flag)
+    if value is None:
+        raise UsageError(f"--space {args.space} requires --{flag}")
+    given = build(value)
     family, space = coincidence.rules_for(given, args.m)
-    payload = coincidence.family_of(given).payload(given)
-    return space, family, {"space": payload, "m": args.m}
+    named = {"family": args.space, **fields, flag: value, "dimension": given.dimension}
+    return space, family, {"space": named, "m": args.m}
 
 
 def _parse_pair(db, family, space, args, trace):
@@ -351,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_space_flags(p):
-        p.add_argument("--space", required=True,
-                       choices=("sphere", "rp", "cp", "hp", "grassmann"))
+        p.add_argument("--space", required=True, choices=tuple(_SPACES))
         p.add_argument("--n", type=int, help="sphere dimension")
         p.add_argument("--nprime", type=int, help="projective dimension n'")
         p.add_argument("--r", type=int, help="Grassmannian rank r")

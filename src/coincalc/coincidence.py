@@ -19,6 +19,7 @@ propagates instead of a guess.
 
 from __future__ import annotations
 
+import functools
 from math import inf
 
 from .abelian import FgAbGroup, GroupElement, GroupHom, Record, Subgroup
@@ -264,16 +265,16 @@ class ProjectiveClassifier:
 
     @_lazy
     def fixed(self) -> Subgroup:
-        """ker(A - 1), memoized under A itself: a kernel read under
-        (m, n') could belong to a different A."""
+        """ker(A - 1), the classes A fixes."""
         a = self.antipodal
-        return self.db.memo(("fixed", a), self.trace, lambda _: _fixed(a))
+        return GroupHom(a.domain, a.domain, [
+            [x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a.matrix)
+        ]).kernel()
 
     @_lazy
     def quotient_of_antipode(self) -> GroupHom:
-        """q o A, memoized under q and A themselves, as :attr:`fixed` is."""
-        q, a = self.suspension_quotient, self.antipodal
-        return self.db.memo(("compose", q, a), self.trace, lambda _: q @ a)
+        """q o A."""
+        return self.suspension_quotient @ self.antipodal
 
     # class plumbing -----------------------------------------------------------
 
@@ -349,8 +350,8 @@ class ProjectiveClassifier:
         ker_susp <= ker = ker(A - 1), so the identities are the stricter
         test.  Each is one subgroup or homomorphism comparison (torsion
         rows are stored reduced, so equal maps have equal matrices) of
-        values the database memoizes, ker(A - 1) and q o A under the maps
-        they are built from; no element is built.
+        values the classifier keeps, ker(A - 1) and q o A among them; no
+        element is built.
 
         A zero lift group is decided by rule: there ker, ker_susp and
         ker(A - 1) are all the zero subgroup, and q o A and q are both the
@@ -407,22 +408,6 @@ class ProjectiveClassifier:
         return [i for i, h in enumerate(holds, 1) if h]
 
 
-def _fixed(a: GroupHom) -> Subgroup:
-    """ker(A - 1), the classes an endomorphism A fixes."""
-    group = a.domain
-    return GroupHom(group, group, [
-        [x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a.matrix)
-    ]).kernel()
-
-
-def _sphere_of_kp1(k: str, n_prime: int, m: int) -> Sphere | None:
-    """S^d when maps S^m -> KP(n') are maps into a sphere: KP(1) is S^d
-    (RP(1) = S^1, CP(1) = S^2, HP(1) = S^4), answered as that sphere from
-    m = 2 on.  At m = 1 KP(1) stays with the projective rules, which
-    refuse it."""
-    return Sphere(field_dim(k)) if n_prime == 1 and m >= 2 else None
-
-
 def classify_projective_pair(
     db: Database, k: str, m: int, n_prime: int, x1, x2,
     trace: Trace | None = None,
@@ -454,15 +439,10 @@ def exclusivity_violations(
     return bad
 
 
-def covered_projective_instances(db: Database) -> tuple:
-    """The tuple of ``(k, m, n_prime, classifier)`` for every finite
-    projective instance whose complete case data the database can derive;
-    built once per database, so every caller shares its classifiers."""
-    return db.memo(("covered",), None,
-                   lambda _: tuple(_covered_projective_instances(db)))
-
-
-def _covered_projective_instances(db: Database):
+def covered_projective_instances(db: Database):
+    """Yield ``(k, m, n_prime, classifier)`` for every finite projective
+    instance whose complete case data the database can derive; each call
+    builds new classifiers over the database's memoized instance data."""
     rng = db.range
     for k in FIELDS:
         for n_prime in range(2, rng.n_max + 1):
@@ -488,7 +468,8 @@ def exclusivity_report(db: Database) -> list[dict]:
     pinned 369 instances; the 5 of the 374 it skips have order 120 or 240.
 
     Which instances are checked does not change between calls, so their
-    labels and classifiers are memoized per database; every call decides
+    labels and classifiers are memoized per database, and the classifiers
+    keep ker(A - 1) and q o A between calls; every call decides
     ``exclusivity_failure`` again on each of them and builds fresh rows."""
     checks = db.memo(("exclusivity_checks",), None, lambda _: tuple(
         (f"(K={k}, m={m}, n'={n_prime})", cls)
@@ -509,6 +490,10 @@ def exclusivity_report(db: Database) -> list[dict]:
 
 class LooseAnswer(Record):
     __slots__ = ("loose", "rule")
+
+
+# the few answers there are, each built once
+_loose_answer = functools.cache(LooseAnswer)
 
 
 class FiltrationResult(Record):
@@ -551,9 +536,7 @@ def grassmann_pi(db: Database, m: int, r: int,
 def grassmann_all_loose(r: int) -> bool | None:
     """True when every pair of maps into G_{r,2}(R) is loose; ``None``
     (unknown) outside the even-rank hypothesis."""
-    if r < 4:
-        raise UsageError("G_{r,2} is supported for r >= 4")
-    return True if r % 2 == 0 else None
+    return True if Grassmannian2(r).r % 2 == 0 else None
 
 
 def _even_rank(space: Grassmannian2, what: str) -> None:
@@ -567,10 +550,10 @@ def _even_rank(space: Grassmannian2, what: str) -> None:
 
 class TargetFamily:
     """The rules of one kind of target: the groups ``summands`` (pi_m, which
-    class coordinates refer to, under ``"group"``), the ``payload`` naming
-    a space, and the answers ``classify``, ``loose``, ``punctured``,
-    filtration ``stage`` and ``transfer``.  Module functions are called by
-    global name at call time, so a wrapper on a name sees every call."""
+    class coordinates refer to, under ``"group"``) and the answers
+    ``classify``, ``loose``, ``punctured``, filtration ``stage`` and
+    ``transfer``.  Module functions are called by global name at call
+    time, so a wrapper on a name sees every call."""
 
     stabilized_at: int  # the stage from which the chain is provably constant
     ignores_classes = False  # looseness is decided without reading the pair
@@ -585,16 +568,13 @@ class _Spheres(TargetFamily):
     def summands(self, db, space, m, trace):
         return {"group": db.pi_sphere(m, space.n)}
 
-    def payload(self, space):
-        return {"family": "sphere", "n": space.n, "dimension": space.dimension}
-
     def classify(self, db, space, m, z1, z2, trace):
         return classify_sphere_pair(db, m, space.n, z1, z2, trace)
 
     def loose(self, db, space, m, x1, x2, trace):
         ans = SphereClassifier(db, m, space.n, trace).is_loose(x1, x2)
         Trace.note(trace, "sphere-antipodal-test")
-        return LooseAnswer(ans, "sphere-antipodal-test")
+        return _loose_answer(ans, "sphere-antipodal-test")
 
     def punctured(self, db, space, m, trace):
         Trace.note(trace, "punctured-sphere-trivial")
@@ -624,10 +604,6 @@ class _ProjectiveSpaces(TargetFamily):
         return {"group": pg.total, "lift_summand": pg.sphere_group,
                 "punctured_summand": pg.c_group}
 
-    def payload(self, space):
-        return {"family": {"R": "rp", "C": "cp", "H": "hp"}[space.k], "K": space.k,
-                "nprime": space.n_prime, "dimension": space.dimension}
-
     def classify(self, db, space, m, z1, z2, trace):
         return ProjectiveClassifier(db, space.k, m, space.n_prime, trace).classify(z1, z2)
 
@@ -637,11 +613,11 @@ class _ProjectiveSpaces(TargetFamily):
         z2 = cls.lift_component(x2)
         if not cls.freely_homotopic(z1, z2):
             Trace.note(trace, "projective-projections-differ")
-            return LooseAnswer(False, "projective-projections-differ")
+            return _loose_answer(False, "projective-projections-differ")
         ker = cls.kernel
         ans = ker.contains_coords(z1) or ker.contains_coords(z2)
         Trace.note(trace, "projective-frame-lift-test")
-        return LooseAnswer(ans, "projective-frame-lift-test")
+        return _loose_answer(ans, "projective-frame-lift-test")
 
     def punctured(self, db, space, m, trace):
         pg = pi_projective(db, space.k, m, space.n_prime, trace)
@@ -679,9 +655,6 @@ class _Grassmannians(TargetFamily):
     def summands(self, db, space, m, trace):
         return {"group": grassmann_pi(db, m, space.r, trace)}
 
-    def payload(self, space):
-        return {"family": "grassmann", "r": space.r, "dimension": space.dimension}
-
     def classify(self, db, space, m, z1, z2, trace):
         raise UsageError("classify supports spheres and projective spaces; "
                          "use `loose` for Grassmannians")
@@ -689,7 +662,7 @@ class _Grassmannians(TargetFamily):
     def loose(self, db, space, m, x1, x2, trace):
         _even_rank(space, "looseness")
         Trace.note(trace, "grassmann-even-complement")
-        return LooseAnswer(True, "grassmann-even-complement")
+        return _loose_answer(True, "grassmann-even-complement")
 
     def punctured(self, db, space, m, trace):
         _even_rank(space, "pi^c")
@@ -711,20 +684,20 @@ _FAMILIES = {Sphere: _Spheres(), ProjectiveSpace: _ProjectiveSpaces(),
              Grassmannian2: _Grassmannians()}
 
 
-def family_of(space: Space) -> TargetFamily:
-    """The rules for the kind of ``space``: the one dispatch on its type."""
+def rules_for(space: Space, m: int) -> tuple[TargetFamily, Space]:
+    """The family whose rules answer for maps S^m -> ``space``, and the
+    space they read: the one dispatch on the type of a space.
+
+    The space read is ``space`` itself, or S^d when maps S^m -> KP(n')
+    are maps into a sphere: KP(1) is S^d (RP(1) = S^1, CP(1) = S^2,
+    HP(1) = S^4), answered as that sphere from m = 2 on.  At m = 1 KP(1)
+    stays with the projective rules, which refuse it."""
+    if isinstance(space, ProjectiveSpace) and space.n_prime == 1 and m >= 2:
+        space = Sphere(field_dim(space.k))
     family = _FAMILIES.get(type(space))
     if family is None:
         raise UsageError(f"unsupported space {space!r}")
-    return family
-
-
-def rules_for(space: Space, m: int) -> tuple[TargetFamily, Space]:
-    """The family whose rules answer for maps S^m -> ``space``, and the
-    space they read: ``space`` itself, or S^d for KP(1) with m >= 2."""
-    if isinstance(space, ProjectiveSpace):
-        space = _sphere_of_kp1(space.k, space.n_prime, m) or space
-    return family_of(space), space
+    return family, space
 
 
 # ---------------------------------------------------------------------------

@@ -89,16 +89,11 @@ class Database:
     k, m, n')``, ``("boundary_kernel", k, m, n')``,
     ``("suspended_boundary_kernel", k, m, n')``, ``("suspension_quotient",
     m, n)``, ``("antipodal", m, n)`` and ``("filtration", space, m,
-    stage)``.  What ``validate-db`` reads, each keyed by the value it is
-    derived from: the kernel of ``A - 1`` under ``("fixed", A)`` and the
-    composite q o A under ``("compose", q, A)``, each read once per
-    classifier through ``ProjectiveClassifier.fixed`` and
-    ``ProjectiveClassifier.quotient_of_antipode``, the kernel of
-    multiplication by ``factor`` that ``stable_kernel_report`` compares
-    with under ``("killed", group, factor)``, the tuple of covered
-    projective instances under ``("covered",)``, and the ``(label,
-    classifier)`` pairs ``exclusivity_report`` decides under
-    ``("exclusivity_checks",)``.
+    stage)``.  What ``validate-db`` reads: the kernel of multiplication
+    by ``factor`` that ``stable_kernel_report`` compares with under
+    ``("killed", group, factor)``, and the ``(label, classifier)`` pairs
+    ``exclusivity_report`` decides under ``("exclusivity_checks",)``,
+    whose classifiers keep ker(A - 1) and q o A.
     """
 
     def __init__(self, range_: DatabaseRange, sphere_records, hom_records):

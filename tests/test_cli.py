@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from coincalc.cli import EXIT_ERROR, EXIT_OK, EXIT_UNKNOWN, main
 
 from conftest import write_db
@@ -160,6 +162,19 @@ def test_loose_requires_coordinates_for_non_grassmann(capsys):
     )
     assert code == EXIT_ERROR
     assert "--f1" in doc["message"]
+
+
+@pytest.mark.parametrize("space, flag", [
+    ("sphere", "n"), ("rp", "nprime"), ("cp", "nprime"), ("hp", "nprime"),
+    ("grassmann", "r"),
+])
+def test_a_space_without_its_dimension_flag_is_a_usage_error(capsys, space, flag):
+    argv = ("pi-space", "--space", space, "--m", "3")
+    code, doc, _ = run_machine(capsys, *argv)
+    assert (code, doc["status"]) == (EXIT_ERROR, "error")
+    assert doc["message"] == f"--space {space} requires --{flag}"
+    assert run(capsys, *argv) == (
+        EXIT_ERROR, f"status: error\nmessage: --space {space} requires --{flag}\n")
 
 
 def test_grassmann_odd_r_with_m_still_unknown(capsys):
@@ -439,3 +454,23 @@ def test_human_output_mentions_rules(capsys):
     assert code == EXIT_OK
     assert "rules:" in out
     assert "C2 in C24" in out
+
+
+@pytest.mark.parametrize("target, block", [
+    (("sphere", "--n", "3"), ["family: sphere", "n: 3", "dimension: 3"]),
+    (("rp", "--nprime", "3"), ["family: rp", "K: R", "nprime: 3", "dimension: 3"]),
+    (("cp", "--nprime", "2"), ["family: cp", "K: C", "nprime: 2", "dimension: 4"]),
+    (("hp", "--nprime", "2"), ["family: hp", "K: H", "nprime: 2", "dimension: 8"]),
+    # KP(1) is answered as its sphere but named as given
+    (("cp", "--nprime", "1"), ["family: cp", "K: C", "nprime: 1", "dimension: 2"]),
+    (("grassmann", "--r", "6"), ["family: grassmann", "r: 6", "dimension: 8"]),
+])
+def test_human_output_names_the_space_as_given_in_field_order(capsys, target, block):
+    """Machine output sorts its keys; the human ``space:`` block keeps the
+    payload's own order."""
+    space, flag, value = target
+    code, out = run(capsys, "pi-space", "--space", space, flag, value, "--m", "3")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[:len(block) + 3] == ["status: ok", "space: ",
+                                      *("  " + line for line in block), "m: 3"]

@@ -264,12 +264,11 @@ def test_a_warm_validate_db_builds_nothing_and_decides_every_identity(db, monkey
     hide): no subgroup or homomorphism is built, lattice solves stay at or
     below what the cached comparisons reach, and each instance with a
     nonzero lift group still has identities (i)-(iii) compared, (iii) as
-    the memoized q o A against q."""
+    the kept q o A against q, on the classifiers ``validate-db`` holds."""
     from collections import Counter
 
     from coincalc import cli
     from coincalc.abelian import GroupHom, Subgroup, _Snf
-    from coincalc.coincidence import covered_projective_instances
 
     d = fresh(db)
     cold = cli._run_db_checks(d)
@@ -297,16 +296,16 @@ def test_a_warm_validate_db_builds_nothing_and_decides_every_identity(db, monkey
     assert calls["_Snf", "coefficients"] <= 146
     assert calls["GroupHom", "__init__"] == 0
     nonzero = Counter()
-    for k, m, n_prime, cls in covered_projective_instances(d):
-        if cls.pg.total.order() > 40 or cls.pg.sphere_group.is_trivial:
+    for _, cls in d._memo[("exclusivity_checks",)][0]:
+        if cls.pg.sphere_group.is_trivial:
             continue
         ker_susp = cls.suspended_kernel
         assert ("contains_subgroup", id(ker_susp), id(cls.kernel)) in compared
-        if k == "R":
+        if cls.k == "R":
             assert ("__eq__", id(cls.fixed), id(ker_susp)) in compared
             q = cls.suspension_quotient
             assert ("__eq__", id(cls.quotient_of_antipode), id(q)) in compared
-        nonzero[k] += 1
+        nonzero[cls.k] += 1
     assert sum(nonzero.values()) == 55
 
 
@@ -314,9 +313,10 @@ def test_a_warm_decision_builds_no_element_hom_or_subgroup(db, monkeypatch):
     """Once a table is warm, one classify or loose call decides its pair on
     reduced coordinates: it builds no ``GroupElement`` (counted where
     ``bench/tracer.py`` counts them, in ``__post_init__``), no
-    ``GroupHom``, no ``Subgroup`` and no ``CoincidenceVerdict``."""
+    ``GroupHom``, no ``Subgroup``, no ``CoincidenceVerdict`` and no
+    ``LooseAnswer``."""
     from coincalc.abelian import GroupElement, GroupHom, Subgroup
-    from coincalc.coincidence import CoincidenceVerdict
+    from coincalc.coincidence import CoincidenceVerdict, LooseAnswer
 
     d = fresh(db)
     rp = pi_projective(d, "R", 9, 6).total
@@ -339,12 +339,15 @@ def test_a_warm_decision_builds_no_element_hom_or_subgroup(db, monkeypatch):
                          "sphere-antipodal-test"),
         "RP loose": (lambda: loose_pair(d, ProjectiveSpace("R", 6), 9, r1, r1),
                      "projective-frame-lift-test"),
+        "G loose": (lambda: loose_pair(d, Grassmannian2(6), 9),
+                    "grassmann-even-complement"),
     }
     for ask, _ in asks.values():
         ask()
     builds = Counter()
     for owner, name in ((GroupElement, "__post_init__"), (GroupHom, "__init__"),
-                        (Subgroup, "__init__"), (CoincidenceVerdict, "__init__")):
+                        (Subgroup, "__init__"), (CoincidenceVerdict, "__init__"),
+                        (LooseAnswer, "__init__")):
         def counted(self, *args, _original=owner.__dict__[name], _owner=owner):
             builds[_owner.__name__] += 1
             return _original(self, *args)
