@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, inf, lcm, prod
-from operator import attrgetter, mul
+from operator import attrgetter, index, mul
 
 from .errors import UsageError
 
@@ -117,12 +117,30 @@ def _slot_init(cls):
 # integer matrices
 
 
+def _integer(x) -> int:
+    """``x`` through ``operator.index``: a float or a string raises
+    ``UsageError`` naming it rather than being truncated or parsed."""
+    try:
+        return index(x)
+    except TypeError:
+        raise UsageError(f"expected an integer, got {x!r}") from None
+
+
+def _integers(values) -> list[int]:
+    """:func:`_integer` of each of ``values``, a sequence: it is read a
+    second time, to name the culprit, only when a value is no integer."""
+    try:
+        return list(map(index, values))
+    except TypeError:
+        return list(map(_integer, values))
+
+
 def _identity(k: int) -> list[list[int]]:
     return [[int(i == j) for j in range(k)] for i in range(k)]
 
 
 def _freeze(rows) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(map(tuple, rows))
 
 
 def _mat_mul(a, b) -> list[list[int]]:
@@ -291,7 +309,7 @@ def smith_normal_form(a) -> tuple[Matrix, Matrix, Matrix]:
     entries chained by divisibility and zero rows/columns trailing.
     Total on integer matrices of any shape, including empty ones.
     """
-    rows = [list(map(int, r)) for r in a]
+    rows = [_integers(r) for r in a]
     ncols = len(rows[0]) if rows else 0
     if any(len(r) != ncols for r in rows):
         raise UsageError("ragged matrix")
@@ -319,7 +337,8 @@ class FgAbGroup(Record, compare=("free_rank", "torsion")):
 
     def __init__(self, free_rank: int, torsion: tuple[int, ...] = (),
                  labels: tuple[str, ...] | None = None):
-        torsion = tuple(int(t) for t in torsion)
+        free_rank = _integer(free_rank)
+        torsion = tuple(map(_integer, torsion))
         if free_rank < 0:
             raise UsageError("free rank must be nonnegative")
         for t in torsion:
@@ -383,7 +402,7 @@ class FgAbGroup(Record, compare=("free_rank", "torsion")):
     # -- elements ----------------------------------------------------------
 
     def reduce(self, coords) -> tuple[int, ...]:
-        coords = [int(c) for c in coords]
+        coords = _integers(coords)
         if len(coords) != self.ngens:
             raise UsageError(
                 f"expected {self.ngens} coordinates, got {len(coords)}"
@@ -586,7 +605,7 @@ class GroupHom(Record):
     __slots__ = ("domain", "codomain", "matrix")
 
     def __init__(self, domain: FgAbGroup, codomain: FgAbGroup, matrix: Matrix):
-        mat = [list(map(int, row)) for row in matrix]
+        mat = [_integers(row) for row in matrix]
         if len(mat) != codomain.ngens or any(len(r) != domain.ngens for r in mat):
             raise UsageError(f"matrix must be {codomain.ngens} x {domain.ngens}")
         fr = codomain.free_rank

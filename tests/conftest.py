@@ -34,6 +34,14 @@ def write_db(tmp_path, doc, name="db.json"):
     return path
 
 
+def add_suspension_record(doc, m, n, matrix):
+    """Append a suspension record to a database document.  The shipped
+    table stores none in the stable range m < 2n - 1, where a record is
+    read back against the identity the rule gives."""
+    doc["homs"].append({"kind": "suspension", "m": m, "n": n, "matrix": matrix,
+                        "provenance": "seeded record"})
+
+
 def intersection(a, b):
     """``a`` meet ``b``, two subgroups of one ambient group: the kernel of
     ``(x, y) -> sum x_i a_i - sum y_j b_j`` on a free group, sent through

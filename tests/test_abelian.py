@@ -7,6 +7,7 @@ brute force that never touches the Smith-normal-form machinery.
 from __future__ import annotations
 
 import itertools
+import re
 from math import gcd, inf
 
 import pytest
@@ -204,6 +205,23 @@ def test_quotient_ambient_mismatch():
     other = FgAbGroup.cyclic(12)
     with pytest.raises(UsageError):
         g.quotient_by(other.trivial_subgroup())
+
+
+# --- integer inputs -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: FgAbGroup.cyclic(4).element((1.5,)), "1.5"),
+    (lambda: FgAbGroup.cyclic(4).element(("3",)), "'3'"),
+    (lambda: FgAbGroup(1, (4,)).reduce((2, 1.0)), "1.0"),
+    (lambda: GroupHom(FgAbGroup.free(1), FgAbGroup.free(1), [[2.9]]), "2.9"),
+    (lambda: FgAbGroup(0, (2.5,)), "2.5"),
+    (lambda: FgAbGroup(1.0), "1.0"),
+    (lambda: smith_normal_form([[1, "2"]]), "'2'"),
+])
+def test_a_non_integer_is_named_not_truncated(build, value):
+    with pytest.raises(UsageError, match=f"^expected an integer, got {re.escape(value)}$"):
+        build()
 
 
 # --- direct sums ------------------------------------------------------------------

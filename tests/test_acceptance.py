@@ -29,7 +29,8 @@ from coincalc.coincidence import (
 from coincalc.errors import GapError
 from coincalc.fibration import ProjectiveSpace, boundary_kernel
 
-from conftest import covered_projective_instances, covered_sphere_instances, write_db
+from conftest import (add_suspension_record, covered_projective_instances,
+                      covered_sphere_instances, write_db)
 from test_abelian import closure, det, matmul
 from test_abelian_properties import random_finite_group, random_hom
 
@@ -257,9 +258,7 @@ def test_criterion_8_database_validation(db, capsys, tmp_path, raw_db_doc):
     faults = []
 
     doc = copy.deepcopy(raw_db_doc)
-    for rec in doc["homs"]:
-        if rec["kind"] == "suspension" and (rec["m"], rec["n"]) == (8, 5):
-            rec["matrix"] = [[2]]
+    add_suspension_record(doc, 8, 5, [[2]])
     faults.append((write_db(tmp_path, doc, "fault_freudenthal.json"),
                    "suspension (8,5)"))
 

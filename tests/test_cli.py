@@ -8,7 +8,7 @@ import pytest
 
 from coincalc.cli import EXIT_ERROR, EXIT_OK, EXIT_UNKNOWN, main
 
-from conftest import write_db
+from conftest import add_suspension_record, write_db
 
 
 def run(capsys, *argv):
@@ -212,28 +212,29 @@ def test_db_flag_beats_env(capsys, tmp_path, monkeypatch):
 
 
 def test_validate_db_fails_on_seeded_fault(capsys, tmp_path, db_doc):
-    for rec in db_doc["homs"]:
-        if rec["kind"] == "suspension" and (rec["m"], rec["n"]) == (8, 5):
-            rec["matrix"] = [[2]]
+    add_suspension_record(db_doc, 8, 5, [[2]])
     path = write_db(tmp_path, db_doc)
     code, doc, _ = run_machine(capsys, "--db", str(path), "validate-db")
     assert code == EXIT_ERROR
     assert "suspension (8,5)" in doc["message"]
 
 
-def test_validate_db_without_a_suspension_record(capsys, tmp_path, db_doc):
-    # the table loads without pi_8(S^5) -> pi_9(S^6); the stable kernel at
-    # (9,6), synthesized through it, can then not be checked
-    db_doc["homs"] = [r for r in db_doc["homs"] if not (
-        r["kind"] == "suspension" and (r["m"], r["n"]) == (8, 5))]
+def test_validate_db_with_a_boundary_into_a_missing_group(capsys, tmp_path, db_doc):
+    # a window from n = 5 loads without the groups of S^4 and the structure
+    # maps into or on them; the stable boundaries at (6,5) and (7,5) map
+    # into those groups, so their kernels can then not be checked
+    db_doc["range"]["n_min"] = 5
+    db_doc["sphere_groups"] = [r for r in db_doc["sphere_groups"] if r["n"] != 4]
+    db_doc["homs"] = [r for r in db_doc["homs"] if r.get("n") not in (3, 4)]
     code, doc, _ = run_machine(capsys, "--db", str(write_db(tmp_path, db_doc)),
                                "validate-db")
     assert code == EXIT_OK
     checks = doc["payload"]["checks"]
-    assert len(checks) == 452
-    assert [c for c in checks if c["instance"] == "(9,6)"] == [
-        {"check": "stable-kernel", "instance": "(9,6)", "status": "unverifiable",
-         "detail": "no suspension record for pi_8(S^5)"}]
+    assert [c for c in checks if c["check"] == "stable-kernel"
+            and c["status"] != "ok"] == [
+        {"check": "stable-kernel", "instance": f"({m},5)", "status": "unverifiable",
+         "detail": f"pi_{m - 1}(S^4) is not in the database"} for m in (6, 7)]
+    assert not [c for c in checks if c["status"] == "fail"]
 
 
 def test_validate_db_reports_a_fail_row_of_each_kind(db):
@@ -325,10 +326,8 @@ def test_validate_db_reads_a_fault_written_between_calls(capsys, tmp_path, db_do
     assert [(c["check"], c["instance"]) for c in failed] == [
         ("case-exclusivity", "(K=R, m=6, n'=4)")]
     assert "ker(A - 1)" in failed[0]["detail"]
-    # a suspension that is not bijective in the stable range fails the load
-    for rec in db_doc["homs"]:
-        if rec["kind"] == "suspension" and (rec["m"], rec["n"]) == (8, 5):
-            rec["matrix"] = [[2]]
+    # a stable suspension record that is not the identity fails the load
+    add_suspension_record(db_doc, 8, 5, [[2]])
     write_db(tmp_path, db_doc)
     code, doc, _ = run_machine(capsys, "--db", str(path), "validate-db")
     assert code == EXIT_ERROR

@@ -10,7 +10,9 @@ import pytest
 from coincalc.abelian import FgAbGroup
 from coincalc.errors import DataError, GapError
 from coincalc.homotopy_db import (
+    DEFAULT_DB_PATH,
     FIELDS,
+    Database,
     HOM_KINDS,
     SCHEMA_PATH,
     build_database,
@@ -18,8 +20,9 @@ from coincalc.homotopy_db import (
     load_database,
     load_default_database,
 )
+from coincalc.trace import Trace
 
-from conftest import write_db
+from conftest import add_suspension_record, write_db
 
 
 # --- loading -------------------------------------------------------------------
@@ -35,6 +38,13 @@ def test_shipped_db_matches_schema(raw_db_doc):
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(SCHEMA_PATH.read_text("utf-8"))
     jsonschema.validate(raw_db_doc, schema)
+
+
+def test_shipped_db_is_in_its_canonical_serialization(raw_db_doc):
+    # scripted record edits rewrite the file in this form, so that their
+    # diffs hold only the records they touch
+    text = DEFAULT_DB_PATH.read_text("utf-8")
+    assert text == json.dumps(raw_db_doc, indent=1, ensure_ascii=False) + "\n"
 
 
 def test_schema_kinds_are_the_loader_kinds():
@@ -267,27 +277,35 @@ def test_boundary_record_used_when_present(tmp_path, db_doc):
     assert not ker.contains(b.domain.element([6]))
 
 
-def test_boundary_read_back_that_gaps_is_a_data_error(db_doc):
+def test_boundary_read_back_that_gaps_is_a_data_error(db_doc, monkeypatch):
     # the stable synthesis at (R, 9, 6) inverts the suspension out of
-    # pi_8(S^5); without its record the lookup gaps, and the load names
-    # the boundary record it was reading back
-    db_doc["homs"] = [r for r in db_doc["homs"] if not (
-        r["kind"] == "suspension" and (r["m"], r["n"]) == (8, 5))]
+    # pi_8(S^5); no document makes that lookup gap, so it is made to here,
+    # and the load names the boundary record it was reading back
+    suspension = Database.suspension
+
+    def gapping(self, m, n, trace=None):
+        if (m, n) == (8, 5):
+            raise GapError("no suspension for pi_8(S^5)")
+        return suspension(self, m, n, trace)
+
+    monkeypatch.setattr(Database, "suspension", gapping)
     build_database(db_doc)
     _add_boundary_record("R", 9, 6, [[2]])(db_doc)
     with pytest.raises(DataError, match=re.escape(
-            "boundary (R,9,6): no suspension record for pi_8(S^5)")):
+            "boundary (R,9,6): no suspension for pi_8(S^5)")):
         build_database(db_doc)
 
 
-def test_suspensions_are_checked_before_the_boundaries_that_invert_them(db_doc):
-    # a boundary record listed first still waits for the suspension checks,
-    # so the non-bijective suspension is named, not an inversion failure
-    db_doc["homs"].insert(0, {"kind": "boundary", "K": "R", "m": 9, "nprime": 6,
-                              "matrix": [[2]], "provenance": "hand-built test record"})
-    _set_suspension_matrix(8, 5, [[2]])(db_doc)
+@pytest.mark.parametrize("first", ["boundary", "suspension"])
+def test_the_bad_suspension_is_named_whatever_the_record_order(db_doc, first):
+    # the stable boundary at (R, 9, 6) inverts the suspension rule, never a
+    # record, so a wrong suspension record is named in either order
+    boundary = {"kind": "boundary", "K": "R", "m": 9, "nprime": 6,
+                "matrix": [[2]], "provenance": "hand-built test record"}
+    add_suspension_record(db_doc, 8, 5, [[2]])
+    db_doc["homs"].insert(0 if first == "boundary" else len(db_doc["homs"]), boundary)
     with pytest.raises(DataError, match=re.escape(
-            "suspension (8,5): must be bijective in the stable range")):
+            "suspension (8,5): the lookup gives [[1]], the record holds [[2]]")):
         build_database(db_doc)
 
 
@@ -295,11 +313,45 @@ def test_suspensions_are_checked_before_the_boundaries_that_invert_them(db_doc):
 
 
 def test_freudenthal_bijectivity_fault(tmp_path, db_doc):
-    for rec in db_doc["homs"]:
-        if rec["kind"] == "suspension" and (rec["m"], rec["n"]) == (8, 5):
-            rec["matrix"] = [[2]]
-    with pytest.raises(DataError, match=r"suspension \(8,5\)"):
+    # doubling on pi_8(S^5) = C24 is no isomorphism; the rule's identity is
+    add_suspension_record(db_doc, 8, 5, [[2]])
+    with pytest.raises(DataError, match=r"^suspension \(8,5\): the lookup gives "
+                                        r"\[\[1\]\], the record holds \[\[2\]\]$"):
         load_database(write_db(tmp_path, db_doc))
+
+
+def test_a_stable_identity_record_still_loads(db_doc):
+    add_suspension_record(db_doc, 8, 5, [[1]])
+    assert build_database(db_doc).suspension(8, 5).matrix == ((1,),)
+
+
+def test_no_stable_suspension_is_stored(raw_db_doc):
+    assert not [r for r in raw_db_doc["homs"]
+                if r["kind"] == "suspension" and r["m"] < 2 * r["n"] - 1]
+
+
+def test_every_stable_window_suspension_is_the_identity_rule(db):
+    checked = 0
+    for m, n in db.range.cells():
+        if not m < 2 * n - 1:
+            continue
+        try:
+            dom, cod = db.hom_groups("suspension", None, m, n)
+        except GapError:
+            assert n == db.range.n_max  # the codomain leaves the window
+            continue
+        if dom.is_trivial or cod.is_trivial:
+            continue
+        trace = Trace()
+        e = db.suspension(m, n, trace)
+        assert trace.entries == ["suspension-stable-identity"]
+        assert (e.domain, e.codomain) == (dom, cod)
+        assert e.codomain.labels == cod.labels
+        assert e.matrix == tuple(tuple(int(i == j) for j in range(dom.ngens))
+                                 for i in range(cod.ngens))
+        checked += 1
+    # the pairs that held an identity record before the rule, and no other
+    assert checked == 33
 
 
 def test_freudenthal_edge_surjectivity_fault(tmp_path, db_doc):
@@ -430,6 +482,17 @@ def _add_boundary_record(k, m, n_prime, matrix):
     return mutate
 
 
+def _add_suspension_record(m, n, matrix):
+    return lambda doc: add_suspension_record(doc, m, n, matrix)
+
+
+def _add_stable_pair_outside_the_window(doc):
+    # groups the declared window never reaches, made unequal on purpose
+    for m, n, t in ((30, 20, 2), (31, 21, 3)):
+        doc["sphere_groups"].append({"m": m, "n": n, "free_rank": 0, "torsion": [t],
+                                     "provenance": "seeded record"})
+
+
 def _trivial_cell_without_suspensions(m, n, dropped):
     """Make pi_m(S^n) trivial and drop the suspension records at
     ``dropped``, whose matrices would no longer fit."""
@@ -473,16 +536,21 @@ def _set_suspension_matrix(m, n, matrix):
     (lambda doc: doc.update(format=1), "^format must be .*, got 1$"),
     (lambda doc: doc.update(format=None), "^format must be .*, got None$"),
     (lambda doc: doc.update(format=["coincalc-homotopy-db/1"]), "^format must be"),
-    # pi_8(S^5) = C24 -> pi_9(S^6) = C24: doubling is neither onto nor one-to-one
-    (_set_suspension_matrix(8, 5, [[2]]),
-     r"suspension \(8,5\): must be bijective in the stable range"),
+    # pi_8(S^5) = C24 -> pi_9(S^6) = C24 in the stable range: a record
+    # there must be the identity the rule gives, which doubling is not
+    (_add_suspension_record(8, 5, [[2]]),
+     r"^suspension \(8,5\): the lookup gives \[\[1\]\], the record holds \[\[2\]\]$"),
+    # the rule maps every stable pair whose groups resolve, in the window or not
+    (_add_stable_pair_outside_the_window,
+     r"^pi_30\(S\^20\) = C2 and pi_31\(S\^21\) = C3: suspension must be "
+     r"bijective in the stable range m < 2n-1$"),
     # pi_5(S^3) = C2 -> pi_6(S^4) = C2 at the edge m = 2n-1
     (_set_suspension_matrix(5, 3, [[0]]),
      r"suspension \(5,3\): must be surjective at m = 2n-1"),
     # the same theorem on pairs of cells that have no suspension record:
     # a trivial pi_8(S^5) would answer C24 in C24 for the stage-3
     # filtration of pi_9(S^6), where the shipped table gives C2
-    (_trivial_cell_without_suspensions(8, 5, ((7, 4), (8, 5))),
+    (_trivial_cell_without_suspensions(8, 5, ((7, 4),)),
      r"^pi_8\(S\^5\) = 0 and pi_9\(S\^6\) = C24: suspension must be "
      r"bijective in the stable range m < 2n-1$"),
     (_trivial_cell_without_suspensions(5, 3, ((4, 2), (5, 3))),
@@ -509,6 +577,9 @@ def _set_suspension_matrix(m, n, matrix):
     (_drop_sphere_key(9, 6, "torsion"),
      r"^sphere_groups\[9,6\]: torsion must be a list of integers$"),
     (_set_sphere_record(3, 2, labels=None), r"^sphere_groups\[3,2\]: labels must be strings$"),
+    # an empty list is a label count like any other
+    (_set_sphere_record(9, 6, labels=[]),
+     r"^sphere_groups\[9,6\]: label count must equal generator count$"),
     (lambda doc: doc["homs"][0].update(K=None), r"^homs\[0\] suspension record \(m=3\): K not allowed$"),
     (lambda doc: next(r for r in doc["homs"] if r["kind"] == "boundary").update(nprime=1),
      r"nprime must be an integer >= 2$"),

@@ -147,9 +147,9 @@ def test_partially_warm_database_traces_like_a_fresh_one(db, k, m, n_prime):
 
 @pytest.mark.parametrize("space, m, q, rules", [
     (ProjectiveSpace("R", 6), 9, 2, ["projective-filtration-collapse",
-                                     "projective-splitting", "suspension-record",
+                                     "projective-splitting", "suspension-stable-identity",
                                      "stable-boundary-transport"]),
-    (Sphere(6), 9, 3, ["sphere-filtration-tangent-lift", "suspension-record",
+    (Sphere(6), 9, 3, ["sphere-filtration-tangent-lift", "suspension-stable-identity",
                        "stable-boundary-transport"]),
     (ProjectiveSpace("H", 2), 9, inf, ["projective-filtration-collapse",
                                        "projective-splitting",
