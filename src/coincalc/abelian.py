@@ -23,11 +23,10 @@ Conventions used throughout:
 
 All lattice solving goes through one primitive: :func:`_lattice` takes
 the Smith normal form of a list of columns, and the resulting
-:class:`_Snf` answers the four questions asked of a lattice, namely
-whether a vector lies in it (:meth:`_Snf.coefficients`), which integer
-combination of the columns gives it (:meth:`_Snf.solve`), which
-combinations give zero (:meth:`_Snf.kernel_basis`), and whether it is
-everything (:meth:`_Snf.spans_everything`).  Kernels, inverses,
+:class:`_Snf` answers the three questions asked of a lattice, namely
+whether a vector lies in it (:meth:`_Snf.coefficients`), which
+combinations of the columns give zero (:meth:`_Snf.kernel_basis`), and
+whether it is everything (:meth:`_Snf.spans_everything`).  Kernels,
 membership, surjectivity and subgroup coordinates are each one of these
 calls, and every canonical form (quotients, direct sums, subgroups)
 comes from :func:`_canonicalize_presentation`.
@@ -177,13 +176,6 @@ class _Snf(Record):
                 return None
             w.append(yi // d)
         return w
-
-    def solve(self, b) -> list[int] | None:
-        """Some integer ``x`` with ``a * x = b``, or ``None``."""
-        w = self.coefficients(b)
-        if w is None:
-            return None
-        return _mat_vec(self.v, w + [0] * (self.ncols - self.rank))
 
     def kernel_basis(self) -> list[list[int]]:
         """Basis of the integer kernel of ``a``: the last columns of ``v``."""
@@ -678,35 +670,6 @@ class GroupHom(Record):
 
     def is_surjective(self) -> bool:
         return self._solver().spans_everything()
-
-    def is_bijective(self) -> bool:
-        """Surjective with trivial kernel, both read off one lattice: every
-        kernel basis vector must restrict to zero in the domain."""
-        solver = self._solver()
-        n = self.domain.ngens
-        return solver.spans_everything() and not any(
-            any(self.domain.reduce(x[:n])) for x in solver.kernel_basis()
-        )
-
-    def inverse(self) -> "GroupHom":
-        """Inverse of an isomorphism; raises ``UsageError`` otherwise."""
-        solver = self._solver()
-        cols = [solver.solve(e) for e in _identity(self.codomain.ngens)]
-        try:
-            if any(c is None for c in cols):
-                raise UsageError("a generator has no preimage")
-            inv = GroupHom(
-                self.codomain,
-                self.domain,
-                [[c[i] for c in cols] for i in range(self.domain.ngens)],
-            )
-        except UsageError as exc:
-            raise UsageError("homomorphism is not invertible") from exc
-        if (self @ inv) != self.codomain.identity_hom() or (
-            inv @ self
-        ) != self.domain.identity_hom():
-            raise UsageError("homomorphism is not invertible")
-        return inv
 
     @classmethod
     def zero(cls, domain: FgAbGroup, codomain: FgAbGroup) -> "GroupHom":

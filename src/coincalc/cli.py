@@ -140,12 +140,24 @@ def verdict_payload(v: coincidence.CoincidenceVerdict) -> dict:
     }
 
 
+def _integer(text: str) -> int:
+    """``text`` read strictly as an integer: an optional sign and ASCII
+    digits, with surrounding whitespace.  ``int`` alone also reads ``1_0``
+    as 10 and non-ASCII digits such as ``\u0663`` as 3."""
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if digits.isascii() and digits.isdigit():
+        return int(body)
+    # argparse reports this as "argument --<flag>: invalid int value: ..."
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_coords(text: str, group: FgAbGroup, flag: str) -> GroupElement:
     text = text.strip()
     parts = [] if text in ("", "()") else text.split(",")
     try:
-        coords = [int(p) for p in parts]
-    except ValueError as exc:
+        coords = [_integer(p) for p in parts]
+    except argparse.ArgumentTypeError as exc:
         raise UsageError(f"{flag}: coordinates must be integers") from exc
     if len(coords) != group.ngens:
         raise UsageError(
@@ -159,8 +171,8 @@ def _parse_q(text: str):
     if text.lower() in ("inf", "infinity"):
         return inf
     try:
-        return int(text)
-    except ValueError as exc:
+        return _integer(text)
+    except argparse.ArgumentTypeError as exc:
         raise UsageError("--q must be a positive integer or 'inf'") from exc
 
 
@@ -351,14 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_space_flags(p):
         p.add_argument("--space", required=True, choices=tuple(_SPACES))
-        p.add_argument("--n", type=int, help="sphere dimension")
-        p.add_argument("--nprime", type=int, help="projective dimension n'")
-        p.add_argument("--r", type=int, help="Grassmannian rank r")
-        p.add_argument("--m", type=int, required=True, help="source sphere dimension")
+        p.add_argument("--n", type=_integer, help="sphere dimension")
+        p.add_argument("--nprime", type=_integer, help="projective dimension n'")
+        p.add_argument("--r", type=_integer, help="Grassmannian rank r")
+        p.add_argument("--m", type=_integer, required=True, help="source sphere dimension")
 
     p = sub.add_parser("pi-sphere", help="look up pi_m(S^n)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, required=True)
 
     p = sub.add_parser("pi-space", help="pi_m of a supported target space")
     add_space_flags(p)
@@ -378,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f2", help="comma-separated coordinates")
 
     p = sub.add_parser("grassmann", help="all-pairs-loose test for G_{r,2}")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, help="also report pi_m(G_{r,2})")
+    p.add_argument("--r", type=_integer, required=True)
+    p.add_argument("--m", type=_integer, help="also report pi_m(G_{r,2})")
 
     sub.add_parser("validate-db", help="run every database validation check")
     return parser

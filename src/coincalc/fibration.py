@@ -181,7 +181,7 @@ def exactness_report(db: Database) -> list[dict]:
 def stable_kernel_report(db: Database) -> list[dict]:
     """The rows comparing the boundary kernel at K = R on every finite
     window cell of the stable range, where :meth:`Database.boundary`
-    synthesizes the boundary, with the kernel of ``1 + (-1)^n``."""
+    answers by rule, with the kernel of ``1 + (-1)^n``."""
     rows = []
     for m, n in db.range.cells():
         if not m < 2 * n - 2:

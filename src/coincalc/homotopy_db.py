@@ -23,8 +23,11 @@ Analytic rules that never need a record:
   is homotopic to the identity) and multiplication by ``(-1)^{n+1}``
   in the stable range ``m < 2n - 1``;
 * a frame-fibration boundary (:meth:`Database.boundary`) is zero on a
-  trivial side or for K = R with odd ``n``, and synthesized from the
-  suspension for K = R in the stable range ``m < 2n - 2``.
+  trivial side or for K = R with odd ``n``, and multiplication by 2
+  between two equal groups for K = R in the stable range ``m < 2n - 2``.
+
+The stable rules map between groups that Freudenthal makes equal, which
+every :class:`Database` checks when it is built.
 """
 
 from __future__ import annotations
@@ -83,6 +86,13 @@ class DatabaseRange(Record):
 class Database:
     """Immutable lookup service; raises ``GapError`` for uncovered cells.
 
+    A table is checked when it is built, however its records were made:
+    the constructor raises ``DataError``, naming the record or cell at
+    fault, unless the records are unique, the declared window is closed
+    under lookups, every pair of cells satisfies Freudenthal and every
+    record equals what the lookup of its cell gives (see
+    :func:`_check_table`).
+
     The structure homs :meth:`suspension`, :meth:`antipodal` and
     :meth:`boundary` resolve rule, then :meth:`record`, then gap, all
     between the groups :meth:`hom_groups` gives their cell.
@@ -113,6 +123,7 @@ class Database:
             if key in self._homs:
                 raise DataError(f"duplicate hom record {key}")
             self._homs[key] = r
+        _check_table(self)
 
     @property
     def range(self) -> DatabaseRange:
@@ -180,8 +191,8 @@ class Database:
 
     def suspension(self, m: int, n: int, trace: Trace | None = None) -> GroupHom:
         """Suspension homomorphism pi_m(S^n) -> pi_{m+1}(S^{n+1}); in the
-        stable range m < 2n - 1 the identity, between groups the loader
-        checks are equal."""
+        stable range m < 2n - 1 the identity, between groups every table
+        is checked to hold equal."""
         dom, cod = self.hom_groups("suspension", None, m, n)
         if m == n:
             Trace.note(trace, "suspension-degree")
@@ -222,7 +233,8 @@ class Database:
         frame fibration S^{n-1} -> V_{n'+1,2}(K) -> S^{n+d-1}, n = d n'.
         Zero on a trivial side, or for K = R with odd n (complex scalar
         multiplication is a section); for K = R with m < 2n - 2, 2 = 1 + (-1)^n
-        along the suspension (only its kernel is contractual)."""
+        between the two groups, which the suspension there makes equal (only
+        its kernel is contractual)."""
         dom, cod = self.hom_groups("boundary", k, m, n_prime)
         if dom.is_trivial or cod.is_trivial:
             Trace.note(trace, "boundary-trivial-side")
@@ -232,9 +244,10 @@ class Database:
             Trace.note(trace, "boundary-section-zero")
             return GroupHom.zero(dom, cod)
         if k == "R" and m < 2 * n - 2:
-            susp = self.suspension(m - 1, n - 1, trace)
+            # looked up for its trace entry: the degree or stable identity
+            self.suspension(m - 1, n - 1, trace)
             Trace.note(trace, "stable-boundary-transport")
-            return susp.inverse() @ dom.multiplication_by(2)
+            return GroupHom(dom, cod, dom.multiplication_by(2).matrix)
         gap = (f"boundary unknown: ({m},{n}) is outside the stable range m < 2n-2" if k == "R"
                else f"boundary unknown for K = {k}, m = {m}, n' = {n_prime}: no record")
         return self.record("boundary", k, m, n_prime, trace, gap)
@@ -319,10 +332,9 @@ def load_database(path) -> Database:
     """Load and fully validate a database file; a fresh ``Database`` on
     every call.
 
-    Every record invariant, the declared-range closure and the
-    Freudenthal constraints are checked here, and every record, of every
-    kind, must equal what the lookup of its cell gives, where a rule
-    answers before the record; failures name the record.
+    :func:`build_database` checks the document's shape and record fields,
+    and the :class:`Database` it builds checks the table; failures name
+    the record.
     """
     return build_database(decode_database(read_database(path), path))
 
@@ -363,10 +375,11 @@ _BOUNDARY_KEYS = ("kind", "K", "m", "nprime", "matrix", "provenance")
 
 
 def build_database(raw: dict) -> Database:
-    """The table in a decoded document, checked as :func:`load_database`
-    says.  Two departures from the schema are deliberate: a document
-    without ``format`` is read as this format, and a missing ``range``,
-    ``sphere_groups`` or ``homs`` is read as empty."""
+    """The table in a decoded document.  This only parses: the
+    :class:`Database` it builds checks the table.  Two departures from the
+    schema are deliberate: a document without ``format`` is read as this
+    format, and a missing ``range``, ``sphere_groups`` or ``homs`` is read
+    as empty."""
     _require(isinstance(raw, dict), "database document must be a JSON object")
     _known_keys(raw, _DOCUMENT_KEYS, "database document")
     fmt = raw.get("format", FORMAT)
@@ -395,25 +408,11 @@ def build_database(raw: dict) -> Database:
         _require(isinstance(rec.get("provenance"), str), f"{where}: provenance required")
         sphere_records.append(SphereGroupRecord(m, n, group, rec["provenance"]))
 
+    # the hom records are parsed between the groups of a sphere-only table
     db = Database(range_, sphere_records, [])
-
-    # declared window must be closed under lookups; the analytic cells
-    # (n = 1 or m = n) always are, and every cell left needs a record, so
-    # a huge declared window fails at its first hole instead of looping
-    for m, n in range_.cells():
-        try:
-            db.pi_sphere(m, n)
-        except GapError:
-            raise DataError(
-                f"range hole: pi_{m}(S^{n}) missing from the declared window"
-            ) from None
-
     homs = _records(raw, "homs")
     hom_records = [_parse_hom(db, i, rec) for i, rec in enumerate(homs)]
-
-    db = Database(range_, sphere_records, hom_records)
-    _validate_structure(db)
-    return db
+    return Database(range_, sphere_records, hom_records)
 
 
 def _parse_hom(db: Database, i: int, rec: dict) -> StructureHomRecord:
@@ -448,12 +447,23 @@ def _parse_hom(db: Database, i: int, rec: dict) -> StructureHomRecord:
     return StructureHomRecord(kind, k, m, n, hom, rec["provenance"])
 
 
-def _validate_structure(db: Database):
-    """Freudenthal on the groups of every pair of cells that both resolve,
-    first, since the stable suspension rule maps between them; then every
-    hom record read back through the lookup of its cell, where a lookup
-    that gaps fails the record as well, and edge surjectivity and
-    involution checks on stored homs."""
+def _check_table(db: Database):
+    """The checks every :class:`Database` runs when it is built, in this
+    order: the declared window closed under lookups; Freudenthal on the
+    groups of every pair of cells that both resolve, since the stable
+    rules map between them; then every hom record read back through the
+    lookup of its cell, where a lookup that gaps fails the record as
+    well, and edge surjectivity and involution checks on stored homs."""
+    # the analytic cells (n = 1 or m = n) are always covered, and every
+    # cell left needs a record, so a huge declared window fails at its
+    # first hole instead of looping
+    for m, n in db.range.cells():
+        try:
+            db.pi_sphere(m, n)
+        except GapError:
+            raise DataError(
+                f"range hole: pi_{m}(S^{n}) missing from the declared window"
+            ) from None
     for rec in db.sphere_records():
         m, n, dom = rec.m, rec.n, rec.group
         _read_back(f"sphere_groups[{m},{n}]", db.pi_sphere(m, n), dom)
@@ -473,7 +483,7 @@ def _validate_structure(db: Database):
             continue
         raise DataError(f"pi_{m}(S^{n}) = {dom} and pi_{m + 1}(S^{n + 1}) = "
                         f"{cod}: suspension must be {rule}")
-    # unmemoized lookups, so that loading leaves the memo empty
+    # unmemoized lookups, so that building leaves the memo empty
     lookup = {"suspension": lambda rec: db.suspension(rec.m, rec.n),
               "antipodal": lambda rec: db._antipodal(rec.m, rec.n, None),
               "boundary": lambda rec: db.boundary(rec.field, rec.m, rec.n)}

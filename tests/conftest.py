@@ -9,7 +9,7 @@ from coincalc.abelian import FgAbGroup, GroupHom, Subgroup
 from coincalc.coincidence import SphereClassifier
 from coincalc.coincidence import covered_projective_instances  # noqa: F401
 from coincalc.errors import GapError
-from coincalc.homotopy_db import DEFAULT_DB_PATH, load_default_database
+from coincalc.homotopy_db import DEFAULT_DB_PATH, Database, load_default_database
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +26,12 @@ def raw_db_doc():
 def db_doc(raw_db_doc):
     """Mutable copy of the shipped database document for fault seeding."""
     return copy.deepcopy(raw_db_doc)
+
+
+def rebuilt(db, hom_records=()) -> Database:
+    """A table over the records of ``db`` and ``hom_records``, built, and
+    so checked, afresh: its memo starts empty."""
+    return Database(db.range, db.sphere_records(), db.hom_records() + list(hom_records))
 
 
 def write_db(tmp_path, doc, name="db.json"):

@@ -342,15 +342,6 @@ def test_subgroup_canonical_form_generating_set_independent():
     assert s1.canonical_form == s2.canonical_form
 
 
-def test_hom_inverse():
-    g = FgAbGroup(0, (24,))
-    five = g.multiplication_by(5)
-    inv = five.inverse()
-    assert (inv @ five) == g.identity_hom()
-    with pytest.raises(UsageError):
-        g.multiplication_by(2).inverse()
-
-
 def test_subgroup_coordinates_roundtrip():
     g = FgAbGroup(1, (4, 12))
     sub = g.subgroup([g.element([2, 1, 3]), g.element([0, 0, 4])])

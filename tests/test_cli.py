@@ -8,7 +8,7 @@ import pytest
 
 from coincalc.cli import EXIT_ERROR, EXIT_OK, EXIT_UNKNOWN, main
 
-from conftest import add_suspension_record, write_db
+from conftest import add_suspension_record, rebuilt, write_db
 
 
 def run(capsys, *argv):
@@ -128,6 +128,25 @@ def test_error_exit_for_bad_coordinates(capsys):
         "--f1", "x", "--f2", "0",
     )
     assert code2 == EXIT_ERROR
+    # int() would read these as 11, 3, 10, 10 and 2; each error names its flag
+    sphere = ["--space", "sphere", "--n", "3", "--m", "6"]
+    for args, message in [
+        (["classify", *sphere, "--f1", "1_1", "--f2", "0"], "--f1: coordinates must be integers"),
+        (["classify", *sphere, "--f1", "1", "--f2", "\u0663"], "--f2: coordinates must be integers"),
+        (["filtration", *sphere, "--q", "1_0"], "--q must be a positive integer or 'inf'"),
+        (["pi-sphere", "--m", "1_0", "--n", "3"], "argument --m: invalid int value: '1_0'"),
+        (["grassmann", "--r", "\uff12"], "argument --r: invalid int value: '\uff12'"),
+    ]:
+        code, doc, _ = run_machine(capsys, *args)
+        assert (code, doc["status"], doc["message"]) == (EXIT_ERROR, "error", message), args
+
+
+def test_integers_keep_their_sign_and_surrounding_space(capsys):
+    code, doc, _ = run_machine(capsys, "classify", "--space", "sphere", "--n", "3",
+                               "--m", " +6 ", "--f1", " -1 ", "--f2", "+2")
+    assert code == EXIT_OK
+    assert doc["payload"]["m"] == 6
+    assert [doc["payload"][f]["coords"] for f in ("f1", "f2")] == [[11], [2]]
 
 
 def test_error_exit_for_bad_flags(capsys):
@@ -243,9 +262,8 @@ def test_validate_db_reports_a_fail_row_of_each_kind(db):
     of a fresh table: each kind of check then reports its failure in
     full, and no other check fails."""
     from coincalc import cli
-    from coincalc.homotopy_db import Database
 
-    table = Database(db.range, db.sphere_records(), db.hom_records())
+    table = rebuilt(db)
     table.memo(("boundary_kernel", "R", 7, 3), None,
                lambda _: table.pi_sphere(7, 3).trivial_subgroup())
     table.memo(("boundary_kernel", "R", 9, 6), None,

@@ -735,11 +735,10 @@ def test_lazy_case_facts_match_the_direct_oracle(db):
     cases evaluated outright.  ``classify`` must answer with the first of them,
     and ``loose_pair`` must agree with free homotopy and
     ``Subgroup.contains`` on the boundary kernel, applied to elements."""
-    from conftest import covered_projective_instances
+    from conftest import covered_projective_instances, rebuilt
     from coincalc.fibration import boundary_kernel
-    from coincalc.homotopy_db import Database
 
-    oracle_db = Database(db.range, db.sphere_records(), db.hom_records())
+    oracle_db = rebuilt(db)
     pairs = instances = 0
     for k, m, n_prime, cls in covered_projective_instances(db):
         if cls.pg.total.order() > 40:
@@ -772,10 +771,9 @@ def test_sphere_answers_match_the_direct_oracle(db):
     sphere rules evaluated on elements: A(z2) by ``GroupHom.__call__``,
     looseness and the suspension test by element equality, the quotient
     built afresh on a second database."""
-    from conftest import covered_sphere_instances
-    from coincalc.homotopy_db import Database
+    from conftest import covered_sphere_instances, rebuilt
 
-    oracle_db = Database(db.range, db.sphere_records(), db.hom_records())
+    oracle_db = rebuilt(db)
     pairs = instances = 0
     for m, n, group, _ in covered_sphere_instances(db):
         if group.order() > 64:

@@ -7,14 +7,17 @@ import re
 
 import pytest
 
-from coincalc.abelian import FgAbGroup
+from coincalc.abelian import FgAbGroup, GroupHom
 from coincalc.errors import DataError, GapError
 from coincalc.homotopy_db import (
     DEFAULT_DB_PATH,
     FIELDS,
     Database,
+    DatabaseRange,
     HOM_KINDS,
     SCHEMA_PATH,
+    SphereGroupRecord,
+    StructureHomRecord,
     build_database,
     lift_dim,
     load_database,
@@ -22,7 +25,7 @@ from coincalc.homotopy_db import (
 )
 from coincalc.trace import Trace
 
-from conftest import add_suspension_record, write_db
+from conftest import add_suspension_record, rebuilt, write_db
 
 
 # --- loading -------------------------------------------------------------------
@@ -139,7 +142,7 @@ def test_suspension_stable_identity(db):
     assert e.domain == FgAbGroup(0, (24,))
     assert e.codomain == FgAbGroup(0, (24,))
     assert e.matrix == ((1,),)
-    assert e.is_bijective()
+    assert e.kernel().is_trivial and e.is_surjective()
 
 
 def test_suspension_degree_and_trivial(db):
@@ -278,9 +281,10 @@ def test_boundary_record_used_when_present(tmp_path, db_doc):
 
 
 def test_boundary_read_back_that_gaps_is_a_data_error(db_doc, monkeypatch):
-    # the stable synthesis at (R, 9, 6) inverts the suspension out of
-    # pi_8(S^5); no document makes that lookup gap, so it is made to here,
-    # and the load names the boundary record it was reading back
+    # the stable boundary at (R, 9, 6) looks up the suspension out of
+    # pi_8(S^5) for its trace; no document makes that lookup gap, so it is
+    # made to here, and the load names the boundary record it was reading
+    # back
     suspension = Database.suspension
 
     def gapping(self, m, n, trace=None):
@@ -298,8 +302,8 @@ def test_boundary_read_back_that_gaps_is_a_data_error(db_doc, monkeypatch):
 
 @pytest.mark.parametrize("first", ["boundary", "suspension"])
 def test_the_bad_suspension_is_named_whatever_the_record_order(db_doc, first):
-    # the stable boundary at (R, 9, 6) inverts the suspension rule, never a
-    # record, so a wrong suspension record is named in either order
+    # the stable boundary at (R, 9, 6) is 2 whatever the suspension record
+    # says, so a wrong suspension record is named in either order
     boundary = {"kind": "boundary", "K": "R", "m": 9, "nprime": 6,
                 "matrix": [[2]], "provenance": "hand-built test record"}
     add_suspension_record(db_doc, 8, 5, [[2]])
@@ -318,6 +322,31 @@ def test_freudenthal_bijectivity_fault(tmp_path, db_doc):
     with pytest.raises(DataError, match=r"^suspension \(8,5\): the lookup gives "
                                         r"\[\[1\]\], the record holds \[\[2\]\]$"):
         load_database(write_db(tmp_path, db_doc))
+
+
+def test_a_directly_built_table_is_checked_for_freudenthal():
+    # the stable suspension rule would answer with C4 -> C2 as its identity
+    spheres = [SphereGroupRecord(8, 5, FgAbGroup(0, (4,)), "seeded record"),
+               SphereGroupRecord(9, 6, FgAbGroup(0, (2,)), "seeded record")]
+    with pytest.raises(DataError, match="^" + re.escape(
+            "pi_8(S^5) = C4 and pi_9(S^6) = C2: suspension must be bijective "
+            "in the stable range m < 2n-1") + "$"):
+        Database(DatabaseRange(1, 0, 0), spheres, [])
+
+
+def test_a_directly_built_table_is_checked_for_window_holes():
+    with pytest.raises(DataError, match=re.escape(
+            "range hole: pi_3(S^2) missing from the declared window")):
+        Database(DatabaseRange(2, 2, 1), [], [])
+
+
+def test_a_rebuilt_table_reads_its_records_back(db):
+    c24 = db.pi_sphere(8, 5)
+    doubling = StructureHomRecord("suspension", None, 8, 5,
+                                  GroupHom(c24, c24, [[2]]), "seeded record")
+    with pytest.raises(DataError, match="^" + re.escape(
+            "suspension (8,5): the lookup gives [[1]], the record holds [[2]]") + "$"):
+        rebuilt(db, hom_records=[doubling])
 
 
 def test_a_stable_identity_record_still_loads(db_doc):

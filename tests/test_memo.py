@@ -30,12 +30,9 @@ from coincalc.fibration import boundary_kernel
 from coincalc.homotopy_db import Database
 from coincalc.trace import Trace
 
+from conftest import rebuilt
+
 STAGES = (1, 2, 3, inf)
-
-
-def fresh(db) -> Database:
-    """A database over the same records with an empty memo."""
-    return Database(db.range, db.sphere_records(), db.hom_records())
 
 
 def _spaces():
@@ -113,14 +110,14 @@ def run(db, query):
 
 def test_warm_database_answers_and_traces_like_a_fresh_one(db):
     qs = queries(db)
-    outcomes = {run(fresh(db), q)[0] for q in qs}
+    outcomes = {run(rebuilt(db), q)[0] for q in qs}
     assert outcomes == {"ok", "GapError", "UsageError"}
-    warm = fresh(db)
+    warm = rebuilt(db)
     rng = random.Random(7)
     for _ in range(2):
         rng.shuffle(qs)
         for q in qs:
-            assert run(warm, q) == run(fresh(db), q), q
+            assert run(warm, q) == run(rebuilt(db), q), q
 
 
 @pytest.mark.parametrize("k, m, n_prime", [("R", 9, 6), ("C", 4, 2), ("H", 9, 2)])
@@ -138,9 +135,9 @@ def test_partially_warm_database_traces_like_a_fresh_one(db, k, m, n_prime):
             for query in (("filtration", space, m, q, None),
                           ("classify", space, m, x, x),
                           ("loose", space, m, x, x)):
-                warm = fresh(db)
+                warm = rebuilt(db)
                 warm_up(warm)
-                expected = run(fresh(db), query)
+                expected = run(rebuilt(db), query)
                 assert expected[0] == "ok"
                 assert run(warm, query) == expected
 
@@ -156,7 +153,7 @@ def test_partially_warm_database_traces_like_a_fresh_one(db, k, m, n_prime):
                                        "boundary-trivial-side"]),
 ])
 def test_memoized_rules_are_replayed_on_every_call(db, space, m, q, rules):
-    d = fresh(db)
+    d = rebuilt(db)
     for _ in range(2):
         trace = Trace()
         filtration_subgroup(d, space, m, q, trace)
@@ -176,7 +173,7 @@ def test_memoized_rules_are_replayed_on_every_call(db, space, m, q, rules):
 ])
 def test_gap_is_raised_every_time_and_never_stored(db, call, key, rules):
     """A failed build stores nothing and keeps the rules it noted."""
-    d = fresh(db)
+    d = rebuilt(db)
     messages = []
     for _ in range(2):
         trace = Trace()
@@ -189,7 +186,7 @@ def test_gap_is_raised_every_time_and_never_stored(db, call, key, rules):
 
 
 def test_repeating_queries_adds_no_memo_entries(db):
-    d = fresh(db)
+    d = rebuilt(db)
     qs = queries(db)
     for q in qs:
         run(d, q)
@@ -201,7 +198,7 @@ def test_repeating_queries_adds_no_memo_entries(db):
 
 
 def test_filtration_stages_share_the_stabilized_entry(db):
-    d = fresh(db)
+    d = rebuilt(db)
     for space, m in ((Sphere(6), 9), (ProjectiveSpace("R", 6), 9)):
         for q in (3, 4, 7, inf):
             filtration_subgroup(d, space, m, q)
@@ -213,8 +210,8 @@ def test_threads_filling_one_database_agree_with_a_fresh_one(db):
     """Racing first fills may build twice; every thread must still see the
     answers and traces of a fresh database."""
     qs = queries(db)[::2]
-    expected = [run(fresh(db), q) for q in qs]
-    shared = fresh(db)
+    expected = [run(rebuilt(db), q) for q in qs]
+    shared = rebuilt(db)
     results = {}
 
     def worker(seed):
@@ -270,7 +267,7 @@ def test_a_warm_validate_db_builds_nothing_and_decides_every_identity(db, monkey
     from coincalc import cli
     from coincalc.abelian import GroupHom, Subgroup, _Snf
 
-    d = fresh(db)
+    d = rebuilt(db)
     cold = cli._run_db_checks(d)
     calls, compared = Counter(), set()
 
@@ -318,7 +315,7 @@ def test_a_warm_decision_builds_no_element_hom_or_subgroup(db, monkeypatch):
     from coincalc.abelian import GroupElement, GroupHom, Subgroup
     from coincalc.coincidence import CoincidenceVerdict, LooseAnswer
 
-    d = fresh(db)
+    d = rebuilt(db)
     rp = pi_projective(d, "R", 9, 6).total
     cp = pi_projective(d, "C", 12, 4).total
     s = d.pi_sphere(9, 6)
