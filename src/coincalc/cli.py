@@ -168,7 +168,7 @@ def _parse_coords(text: str, group: FgAbGroup, flag: str) -> GroupElement:
 
 
 def _parse_q(text: str):
-    if text.lower() in ("inf", "infinity"):
+    if text.strip().lower() in ("inf", "infinity"):
         return inf
     try:
         return _integer(text)

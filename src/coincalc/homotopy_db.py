@@ -65,10 +65,11 @@ class SphereGroupRecord(Record):
 
 
 class StructureHomRecord(Record):
-    """``field`` is R/C/H for boundary records and ``None`` otherwise;
-    ``n`` is n for sphere-indexed kinds and n' for boundary records."""
+    """Plain data: the :class:`Database` builds the hom from ``matrix``.
+    ``field`` is R/C/H for boundary records and ``None`` otherwise; ``n``
+    is n for sphere-indexed kinds and n' for boundary records."""
 
-    __slots__ = ("kind", "field", "m", "n", "hom", "provenance")
+    __slots__ = ("kind", "field", "m", "n", "matrix", "provenance")
 
 
 class DatabaseRange(Record):
@@ -90,8 +91,8 @@ class Database:
     the constructor raises ``DataError``, naming the record or cell at
     fault, unless the records are unique, the declared window is closed
     under lookups, every pair of cells satisfies Freudenthal and every
-    record equals what the lookup of its cell gives (see
-    :func:`_check_table`).
+    record equals what the lookup of its cell gives, a hom record as the
+    hom its matrix makes between its cell's groups (:func:`_check_table`).
 
     The structure homs :meth:`suspension`, :meth:`antipodal` and
     :meth:`boundary` resolve rule, then :meth:`record`, then gap, all
@@ -117,12 +118,13 @@ class Database:
             if (r.m, r.n) in self._spheres:
                 raise DataError(f"duplicate sphere record ({r.m},{r.n})")
             self._spheres[(r.m, r.n)] = r
-        self._homs: dict[tuple, StructureHomRecord] = {}
+        self._records: dict[tuple, StructureHomRecord] = {}
         for r in hom_records:
             key = (r.kind, r.field, r.m, r.n)
-            if key in self._homs:
+            if key in self._records:
                 raise DataError(f"duplicate hom record {key}")
-            self._homs[key] = r
+            self._records[key] = r
+        self._homs: dict[tuple, GroupHom] = {}  # built by _check_table
         _check_table(self)
 
     @property
@@ -154,7 +156,7 @@ class Database:
         return list(self._spheres.values())
 
     def hom_records(self):
-        return list(self._homs.values())
+        return list(self._records.values())
 
     # -- sphere groups -------------------------------------------------------
 
@@ -257,13 +259,13 @@ class Database:
     def record(self, kind: str, k: str | None, m: int, n: int,
                trace: Trace | None, gap: str) -> GroupHom:
         """The last step of every structure lookup, after its rules: the
-        stored ``kind`` hom of the cell (keyed as in ``StructureHomRecord``),
+        hom of the cell's ``kind`` record (keyed as in ``StructureHomRecord``),
         noted as ``<kind>-record``, or a ``GapError`` saying ``gap``."""
-        rec = self._homs.get((kind, k, m, n))
-        if rec is None:
+        hom = self._homs.get((kind, k, m, n))
+        if hom is None:
             raise GapError(gap)
         Trace.note(trace, f"{kind}-record")
-        return rec.hom
+        return hom
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +327,7 @@ def _parse_matrix(obj, where: str):
         and all(isinstance(r, list) and all(_is_int(x) for x in r) for r in obj),
         f"{where}: matrix must be a list of integer rows",
     )
-    return obj
+    return tuple(map(tuple, obj))
 
 
 def load_database(path) -> Database:
@@ -375,11 +377,11 @@ _BOUNDARY_KEYS = ("kind", "K", "m", "nprime", "matrix", "provenance")
 
 
 def build_database(raw: dict) -> Database:
-    """The table in a decoded document.  This only parses: the
-    :class:`Database` it builds checks the table.  Two departures from the
-    schema are deliberate: a document without ``format`` is read as this
-    format, and a missing ``range``, ``sphere_groups`` or ``homs`` is read
-    as empty."""
+    """The table in a decoded document.  This only parses: the one
+    :class:`Database` it builds makes the homs and checks the table.  Two
+    departures from the schema are deliberate: a document without
+    ``format`` is read as this format, and a missing ``range``,
+    ``sphere_groups`` or ``homs`` is read as empty."""
     _require(isinstance(raw, dict), "database document must be a JSON object")
     _known_keys(raw, _DOCUMENT_KEYS, "database document")
     fmt = raw.get("format", FORMAT)
@@ -408,15 +410,12 @@ def build_database(raw: dict) -> Database:
         _require(isinstance(rec.get("provenance"), str), f"{where}: provenance required")
         sphere_records.append(SphereGroupRecord(m, n, group, rec["provenance"]))
 
-    # the hom records are parsed between the groups of a sphere-only table
-    db = Database(range_, sphere_records, [])
-    homs = _records(raw, "homs")
-    hom_records = [_parse_hom(db, i, rec) for i, rec in enumerate(homs)]
+    hom_records = [_parse_hom(i, rec) for i, rec in enumerate(_records(raw, "homs"))]
     return Database(range_, sphere_records, hom_records)
 
 
-def _parse_hom(db: Database, i: int, rec: dict) -> StructureHomRecord:
-    """Hom record ``homs[i]``, checked against the sphere groups of ``db``."""
+def _parse_hom(i: int, rec: dict) -> StructureHomRecord:
+    """Hom record ``homs[i]``, its fields checked; the ``Database`` builds its hom."""
     kind = rec.get("kind")
     _require(kind in HOM_KINDS, f"homs[{i}]: hom record has unknown kind {kind!r}")
     k = rec.get("K")
@@ -426,34 +425,28 @@ def _parse_hom(db: Database, i: int, rec: dict) -> StructureHomRecord:
     _require(isinstance(rec.get("provenance"), str),
              f"{name} ({m}): provenance required")
     matrix = _parse_matrix(rec.get("matrix"), f"{name} (m={m})")
-    try:
-        if kind in ("suspension", "antipodal"):
-            _require("K" not in rec, f"{name} (m={m}): K not allowed")
-            _known_keys(rec, _SPHERE_HOM_KEYS, f"{name} (m={m})")
-            n = rec.get("n")
-            _require(_is_int(n), f"{name} (m={m}): n must be an integer")
-            where = f"{kind} ({m},{n})"
-        else:
-            _require(k in FIELDS, f"{name} (m={m}): K must be R, C or H")
-            _known_keys(rec, _BOUNDARY_KEYS, f"{name} (m={m})")
-            n = rec.get("nprime")
-            _require(_is_int(n) and n >= 2,
-                     f"{name} (m={m}): nprime must be an integer >= 2")
-            where = f"{kind} ({k},{m},{n})"
-        hom = GroupHom(*db.hom_groups(kind, k, m, n), matrix)
-    except (UsageError, GapError) as exc:
-        # a bad matrix, or a cell the sphere records do not cover
-        raise DataError(f"{where}: {exc}") from exc
-    return StructureHomRecord(kind, k, m, n, hom, rec["provenance"])
+    if kind in ("suspension", "antipodal"):
+        _require("K" not in rec, f"{name} (m={m}): K not allowed")
+        _known_keys(rec, _SPHERE_HOM_KEYS, f"{name} (m={m})")
+        n = rec.get("n")
+        _require(_is_int(n), f"{name} (m={m}): n must be an integer")
+    else:
+        _require(k in FIELDS, f"{name} (m={m}): K must be R, C or H")
+        _known_keys(rec, _BOUNDARY_KEYS, f"{name} (m={m})")
+        n = rec.get("nprime")
+        _require(_is_int(n) and n >= 2,
+                 f"{name} (m={m}): nprime must be an integer >= 2")
+    return StructureHomRecord(kind, k, m, n, matrix, rec["provenance"])
 
 
 def _check_table(db: Database):
     """The checks every :class:`Database` runs when it is built, in this
     order: the declared window closed under lookups; Freudenthal on the
     groups of every pair of cells that both resolve, since the stable
-    rules map between them; then every hom record read back through the
-    lookup of its cell, where a lookup that gaps fails the record as
-    well, and edge surjectivity and involution checks on stored homs."""
+    rules map between them; every hom record's hom built between its
+    cell's groups; then each read back through the lookup of its cell,
+    where a lookup that gaps fails the record too, with edge surjectivity
+    and involution checks."""
     # the analytic cells (n = 1 or m = n) are always covered, and every
     # cell left needs a record, so a huge declared window fails at its
     # first hole instead of looping
@@ -483,22 +476,29 @@ def _check_table(db: Database):
             continue
         raise DataError(f"pi_{m}(S^{n}) = {dom} and pi_{m + 1}(S^{n + 1}) = "
                         f"{cod}: suspension must be {rule}")
+    built = []
+    for key, rec in db._records.items():
+        where = f"{rec.kind} ({rec.field + ',' if rec.field else ''}{rec.m},{rec.n})"
+        try:
+            db._homs[key] = hom = GroupHom(*db.hom_groups(*key), rec.matrix)
+        except (UsageError, GapError) as exc:
+            # a bad matrix, or a cell the sphere records do not cover
+            raise DataError(f"{where}: {exc}") from exc
+        built.append((where, rec, hom))
     # unmemoized lookups, so that building leaves the memo empty
     lookup = {"suspension": lambda rec: db.suspension(rec.m, rec.n),
               "antipodal": lambda rec: db._antipodal(rec.m, rec.n, None),
               "boundary": lambda rec: db.boundary(rec.field, rec.m, rec.n)}
-    for rec in db.hom_records():
-        m, n = rec.m, rec.n
-        where = f"{rec.kind} ({rec.field + ',' if rec.field else ''}{m},{n})"
+    for where, rec, hom in built:
         try:
-            _read_back(where, lookup[rec.kind](rec), rec.hom)
+            _read_back(where, lookup[rec.kind](rec), hom)
         except GapError as exc:
             raise DataError(f"{where}: {exc}") from None
         if rec.kind == "suspension":
-            if m == 2 * n - 1 and not rec.hom.is_surjective():
+            if rec.m == 2 * rec.n - 1 and not hom.is_surjective():
                 raise DataError(f"{where}: must be surjective at m = 2n-1")
         elif rec.kind == "antipodal":
-            if rec.hom @ rec.hom != rec.hom.domain.identity_hom():
+            if hom @ hom != hom.domain.identity_hom():
                 raise DataError(f"{where}: action is not an involution")
 
 

@@ -147,6 +147,11 @@ def test_integers_keep_their_sign_and_surrounding_space(capsys):
     assert code == EXIT_OK
     assert doc["payload"]["m"] == 6
     assert [doc["payload"][f]["coords"] for f in ("f1", "f2")] == [[11], [2]]
+    for q, want in ((" 2 ", 2), (" inf ", "infinity")):
+        code, doc, _ = run_machine(capsys, "filtration", "--space", "sphere", "--n", "3",
+                                   "--m", "6", "--q", q)
+        assert code == EXIT_OK
+        assert doc["payload"]["q"] == want
 
 
 def test_error_exit_for_bad_flags(capsys):

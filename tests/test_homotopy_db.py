@@ -7,7 +7,8 @@ import re
 
 import pytest
 
-from coincalc.abelian import FgAbGroup, GroupHom
+from coincalc.abelian import FgAbGroup
+from coincalc import homotopy_db
 from coincalc.errors import DataError, GapError
 from coincalc.homotopy_db import (
     DEFAULT_DB_PATH,
@@ -204,7 +205,8 @@ def test_antipodal_unknown_cell(db):
 def test_antipodal_involution_everywhere(db):
     for rec in db.hom_records():
         if rec.kind == "antipodal":
-            assert (rec.hom @ rec.hom) == rec.hom.domain.identity_hom()
+            a = db.antipodal(rec.m, rec.n)
+            assert (a @ a) == a.domain.identity_hom()
 
 
 def test_antipodal_involution_wherever_defined(db):
@@ -341,12 +343,31 @@ def test_a_directly_built_table_is_checked_for_window_holes():
 
 
 def test_a_rebuilt_table_reads_its_records_back(db):
-    c24 = db.pi_sphere(8, 5)
-    doubling = StructureHomRecord("suspension", None, 8, 5,
-                                  GroupHom(c24, c24, [[2]]), "seeded record")
+    doubling = StructureHomRecord("suspension", None, 8, 5, ((2,),), "seeded record")
     with pytest.raises(DataError, match="^" + re.escape(
             "suspension (8,5): the lookup gives [[1]], the record holds [[2]]") + "$"):
         rebuilt(db, hom_records=[doubling])
+
+
+@pytest.mark.parametrize("matrix, message", [
+    # pi_3(S^2) = Z and pi_4(S^3) = C2: one row of one entry
+    (((1, 0),), "matrix must be 1 x 1"),
+    (((1.5,),), "expected an integer, got 1.5"),
+])
+def test_a_directly_built_record_maps_between_its_cells_groups(db, matrix, message):
+    records = [r for r in db.hom_records()
+               if (r.kind, r.m, r.n) != ("suspension", 3, 2)]
+    records.append(StructureHomRecord("suspension", None, 3, 2, matrix, "seeded record"))
+    with pytest.raises(DataError, match="^" + re.escape(f"suspension (3,2): {message}") + "$"):
+        Database(db.range, db.sphere_records(), records)
+
+
+def test_a_load_checks_the_table_once(monkeypatch):
+    calls = []
+    check = homotopy_db._check_table
+    monkeypatch.setattr(homotopy_db, "_check_table", lambda db: calls.append(check(db)))
+    load_default_database()
+    assert len(calls) == 1
 
 
 def test_a_stable_identity_record_still_loads(db_doc):

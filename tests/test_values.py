@@ -39,7 +39,7 @@ def _values():
         "Subgroup": (Subgroup(c24, (c24.element([6]),)),
                      Subgroup(FgAbGroup(0, (24,)), ([18], [12]))),
         "StructureHomRecord": tuple(
-            StructureHomRecord("boundary", "R", 9, 6, c24.multiplication_by(5), "table")
+            StructureHomRecord("boundary", "R", 9, 6, ((5,),), "table")
             for _ in range(2)),
     }
 
