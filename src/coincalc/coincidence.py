@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from math import inf
 
-from .abelian import FgAbGroup, GroupElement, GroupHom, Record, Subgroup
+from .abelian import FgAbGroup, GroupElement, GroupHom, Record, Subgroup, _integer
 from .errors import GapError, UsageError
 from .fibration import (
     ProjectiveSpace,
@@ -729,7 +729,7 @@ def filtration_subgroup(db: Database, space: Space, m: int, q,
                         trace: Trace | None = None) -> FiltrationResult:
     """The stage-q subgroup of classes extending to q pairwise
     coincidence-free maps; q = inf gives the stabilized subgroup."""
-    q = _check_q(q)
+    q, m = _check_q(q), _integer(m)
     family, space = rules_for(space, m)
     stage = min(q, family.stabilized_at)
     sub = db.memo(("filtration", space, m, stage), trace,

@@ -21,7 +21,7 @@ its kernels and the ``validate-db`` rows that check them.
 
 from __future__ import annotations
 
-from .abelian import Record, Subgroup
+from .abelian import Record, Subgroup, _integer
 from .errors import GapError, UsageError
 from .homotopy_db import TRIVIAL_GROUP, Database, field_dim, lift_dim
 from .trace import Trace
@@ -75,6 +75,7 @@ def pi_projective(
     db: Database, k: str, m: int, n_prime: int, trace: Trace | None = None
 ) -> ProjectiveHomotopyGroup:
     """Split computation of pi_m(KP(n')) for m, n' >= 2."""
+    m, n_prime = _integer(m), _integer(n_prime)
     return db.memo(("pi_projective", k, m, n_prime), trace,
                    lambda t: _pi_projective(db, k, m, n_prime, t))
 
@@ -112,6 +113,7 @@ def boundary_kernel(
     db: Database, k: str, m: int, n_prime: int, trace: Trace | None = None
 ) -> Subgroup:
     """Kernel of the connecting homomorphism, inside pi_m(S^{n+d-1})."""
+    m, n_prime = _integer(m), _integer(n_prime)
     return db.memo(("boundary_kernel", k, m, n_prime), trace,
                    lambda t: db.boundary(k, m, n_prime, t).kernel())
 
@@ -125,6 +127,7 @@ def suspended_boundary_kernel(
     the set of classes that can be made coincidence free without being
     jointly liftable.
     """
+    m, n_prime = _integer(m), _integer(n_prime)
     return db.memo(("suspended_boundary_kernel", k, m, n_prime), trace,
                    lambda t: _suspended_boundary_kernel(db, k, m, n_prime, t))
 

@@ -20,11 +20,14 @@ Analytic rules that never need a record:
   table writes each cell in the suspended generators of the cell one
   row up;
 * the antipodal action is the identity for odd ``n`` (the antipodal map
-  is homotopic to the identity) and multiplication by ``(-1)^{n+1}``
-  in the stable range ``m < 2n - 1``;
+  is homotopic to the identity), multiplication by ``(-1)^{n+1}``
+  in the stable range ``m < 2n - 1``, and the identity on ``pi_m(S^2)``
+  above it (the antipodal map lifts along the Hopf map);
 * a frame-fibration boundary (:meth:`Database.boundary`) is zero on a
   trivial side or for K = R with odd ``n``, and multiplication by 2
-  between two equal groups for K = R in the stable range ``m < 2n - 2``.
+  between two equal groups for K = R wherever the suspension into the
+  domain cell is an isomorphism: the stable range ``m < 2n - 2`` and the
+  degree cell ``m = n``, where 2 is the Euler number of ``S^2``.
 
 The stable rules map between groups that Freudenthal makes equal, which
 every :class:`Database` checks when it is built.
@@ -35,7 +38,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .abelian import FgAbGroup, GroupHom, Record
+from .abelian import FgAbGroup, GroupHom, Record, _integer
 from .errors import DataError, GapError, UsageError
 from .trace import Trace
 
@@ -161,6 +164,7 @@ class Database:
     # -- sphere groups -------------------------------------------------------
 
     def pi_sphere(self, m: int, n: int) -> FgAbGroup:
+        m, n = _integer(m), _integer(n)
         if m < 1 or n < 1:
             raise UsageError("sphere dimensions must be >= 1")
         if m < n:
@@ -181,6 +185,7 @@ class Database:
         """``(domain, codomain)`` of the ``kind`` hom of a cell, keyed as in
         ``StructureHomRecord``: the one geometry every lookup and every
         record of the kind maps between."""
+        m, n = _integer(m), _integer(n)
         if kind == "suspension":
             return self.pi_sphere(m, n), self.pi_sphere(m + 1, n + 1)
         if kind == "antipodal":
@@ -212,10 +217,16 @@ class Database:
 
     def antipodal(self, m: int, n: int, trace: Trace | None = None) -> GroupHom:
         """Automorphism of pi_m(S^n) induced by the antipodal map."""
+        m, n = _integer(m), _integer(n)
         return self.memo(("antipodal", m, n), trace,
                          lambda t: self._antipodal(m, n, t))
 
     def _antipodal(self, m: int, n: int, trace: Trace) -> GroupHom:
+        """The rules, then the record.  On ``pi_m(S^2)``, ``m >= 3``, the
+        action is the identity: the antipodal map of S^2 = CP(1) lifts
+        along the Hopf map eta to (z, w) -> (-conj(w), conj(z)) on S^3,
+        which lies in SO(4) and so is homotopic to the identity, and
+        eta_* is onto for m >= 3 (Hopf 1931; Toda 1962, Ch. I)."""
         g, _ = self.hom_groups("antipodal", None, m, n)
         if n % 2 == 1:
             Trace.note(trace, "antipodal-odd-identity")
@@ -223,6 +234,9 @@ class Database:
         if m < 2 * n - 1:
             Trace.note(trace, "antipodal-stable-negation")
             return g.multiplication_by(-1)
+        if n == 2:
+            Trace.note(trace, "antipodal-s2-identity")
+            return g.identity_hom()
         return self.record("antipodal", None, m, n, trace,
                            f"antipodal action unknown for pi_{m}(S^{n}) "
                            "(unstable, even n, no record)")
@@ -234,9 +248,11 @@ class Database:
         """Connecting homomorphism pi_m(S^{n+d-1}) -> pi_{m-1}(S^{n-1}) of the
         frame fibration S^{n-1} -> V_{n'+1,2}(K) -> S^{n+d-1}, n = d n'.
         Zero on a trivial side, or for K = R with odd n (complex scalar
-        multiplication is a section); for K = R with m < 2n - 2, 2 = 1 + (-1)^n
-        between the two groups, which the suspension there makes equal (only
-        its kernel is contractual)."""
+        multiplication is a section); for K = R with m < 2n - 2 or m = n,
+        where the suspension into the domain cell is an isomorphism,
+        2 = 1 + (-1)^n between the two groups it makes equal (only its
+        kernel is contractual).  At m = n = 2 this is the Euler number
+        chi(S^2) = 2 of the tangent bundle, so no record is needed there."""
         dom, cod = self.hom_groups("boundary", k, m, n_prime)
         if dom.is_trivial or cod.is_trivial:
             Trace.note(trace, "boundary-trivial-side")
@@ -245,7 +261,7 @@ class Database:
         if k == "R" and n % 2 == 1:
             Trace.note(trace, "boundary-section-zero")
             return GroupHom.zero(dom, cod)
-        if k == "R" and m < 2 * n - 2:
+        if k == "R" and (m < 2 * n - 2 or m == n):
             # looked up for its trace entry: the degree or stable identity
             self.suspension(m - 1, n - 1, trace)
             Trace.note(trace, "stable-boundary-transport")

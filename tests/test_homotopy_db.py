@@ -197,6 +197,33 @@ def test_antipodal_hopf_record(db):
     assert a == db.pi_sphere(3, 2).identity_hom()
 
 
+def test_the_rules_give_the_records_they_replaced(db, db_doc):
+    # the records the S^2 antipodal rule and the degree-cell boundary rule
+    # replaced, with the matrices the table shipped
+    replaced = [*((("antipodal", None, m, 2), ((1,),)) for m in range(3, 11)),
+                (("boundary", "R", 2, 2), ((2,),))]
+    stored = {(r.kind, r.field, r.m, r.n) for r in db.hom_records()}
+    for (kind, k, m, n), matrix in replaced:
+        trace = Trace()
+        if kind == "antipodal":
+            hom, rules = db.antipodal(m, n, trace), ["antipodal-s2-identity"]
+        else:
+            hom = db.boundary(k, m, n, trace)
+            rules = ["suspension-degree", "stable-boundary-transport"]
+        assert (hom.matrix, trace.entries) == (matrix, rules), (kind, k, m, n)
+        assert (kind, k, m, n) not in stored
+        # a record of another value there names itself; every group here
+        # is cyclic, and zero is an endomorphism of each
+        record = {"kind": kind, "m": m, "matrix": [[0]], "provenance": "x"}
+        record.update({"K": k, "nprime": n} if k else {"n": n})
+        db_doc["homs"].append(record)
+        message = (f"{kind} ({k + ',' if k else ''}{m},{n}): the lookup gives "
+                   f"[[{matrix[0][0]}]], the record holds [[0]]")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            build_database(db_doc)
+        db_doc["homs"].pop()
+
+
 def test_antipodal_unknown_cell(db):
     with pytest.raises(GapError, match="antipodal"):
         db.antipodal(14, 6)
@@ -421,10 +448,11 @@ def test_range_hole_fault(tmp_path, db_doc):
 
 
 def test_antipodal_involution_fault(tmp_path, db_doc):
+    # only the record answers pi_13(S^6) = C60, and 7 * 7 = 49 is not 1 mod 60
     for rec in db_doc["homs"]:
-        if rec["kind"] == "antipodal" and (rec["m"], rec["n"]) == (3, 2):
-            rec["matrix"] = [[2]]
-    with pytest.raises(DataError, match=r"antipodal \(3,2\)"):
+        if rec["kind"] == "antipodal" and (rec["m"], rec["n"]) == (13, 6):
+            rec["matrix"] = [[7]]
+    with pytest.raises(DataError, match=r"^antipodal \(13,6\): action is not an involution$"):
         load_database(write_db(tmp_path, db_doc))
 
 
@@ -464,6 +492,16 @@ def test_antipodal_record_in_stable_range(tmp_path, db_doc):
     ({"kind": "antipodal", "m": 9, "n": 6, "matrix": [[1]]}, {"matrix": [[23]]},
      r"^antipodal \(9,6\): the lookup gives \[\[23\]\], the record holds "
      r"\[\[1\]\]$"),
+    # the antipodal map of S^2 lifts along the Hopf map: the identity on
+    # pi_3(S^2) = Z, though -1 is an involution there too
+    ({"kind": "antipodal", "m": 3, "n": 2, "matrix": [[-1]]}, {"matrix": [[1]]},
+     r"^antipodal \(3,2\): the lookup gives \[\[1\]\], the record holds "
+     r"\[\[-1\]\]$"),
+    # the boundary pi_2(S^2) -> pi_1(S^1) is the Euler number 2 of S^2
+    ({"kind": "boundary", "K": "R", "m": 2, "nprime": 2, "matrix": [[0]]},
+     {"matrix": [[2]]},
+     r"^boundary \(R,2,2\): the lookup gives \[\[2\]\], the record holds "
+     r"\[\[0\]\]$"),
 ])
 def test_record_at_a_rule_answered_cell_is_read_back(db_doc, record, agreeing, match):
     records = db_doc["homs" if "kind" in record else "sphere_groups"]
@@ -525,10 +563,11 @@ def _drop_sphere_key(m, n, key):
     return mutate
 
 
-def _add_boundary_record(k, m, n_prime, matrix):
+def _add_boundary_record(k, m, n_prime, matrix, **fields):
     def mutate(doc):
         doc["homs"].append({"kind": "boundary", "K": k, "m": m, "nprime": n_prime,
-                            "matrix": matrix, "provenance": "hand-built test record"})
+                            "matrix": matrix, "provenance": "hand-built test record",
+                            **fields})
     return mutate
 
 
@@ -631,7 +670,7 @@ def _set_suspension_matrix(m, n, matrix):
     (_set_sphere_record(9, 6, labels=[]),
      r"^sphere_groups\[9,6\]: label count must equal generator count$"),
     (lambda doc: doc["homs"][0].update(K=None), r"^homs\[0\] suspension record \(m=3\): K not allowed$"),
-    (lambda doc: next(r for r in doc["homs"] if r["kind"] == "boundary").update(nprime=1),
+    (lambda doc: _add_boundary_record("R", 2, 1, [[2]])(doc),
      r"nprime must be an integer >= 2$"),
     # kinds outside HOM_KINDS, each as a well-formed record of its own shape
     (lambda doc: doc["homs"].append(
@@ -646,7 +685,7 @@ def _set_suspension_matrix(m, n, matrix):
     # each kind has its own key set
     (lambda doc: doc["homs"][0].update(typo_matrix=[[1]]),
      r"^homs\[0\] suspension record \(m=3\): unknown key\(s\) \['typo_matrix'\]$"),
-    (lambda doc: next(r for r in doc["homs"] if r["kind"] == "boundary").update(n=3),
+    (lambda doc: _add_boundary_record("R", 2, 2, [[2]], n=3)(doc),
      r"^homs\[\d+\] boundary record \(m=\d+\): unknown key\(s\) \['n'\]$"),
     (lambda doc: next(r for r in doc["homs"] if r["kind"] == "antipodal").update(nprime=3),
      r"^homs\[\d+\] antipodal record \(m=\d+\): unknown key\(s\) \['nprime'\]$"),

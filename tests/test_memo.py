@@ -26,7 +26,7 @@ from coincalc import (
     pi_projective,
 )
 from coincalc.errors import GapError, UsageError
-from coincalc.fibration import boundary_kernel
+from coincalc.fibration import boundary_kernel, suspended_boundary_kernel
 from coincalc.homotopy_db import Database
 from coincalc.trace import Trace
 
@@ -183,6 +183,28 @@ def test_gap_is_raised_every_time_and_never_stored(db, call, key, rules):
         assert key not in d._memo
         assert trace.entries == rules
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("call, m, n", [
+    (Database.pi_sphere, 9.5, 6),
+    (Database.pi_sphere, "9", 6),
+    (Database.suspension, 9.0, 6),
+    (Database.antipodal, 9.0, 6),
+    (lambda d, m, n: d.boundary("R", m, n), 9, "6"),
+    (lambda d, m, n: pi_projective(d, "R", m, n), 9.0, 6),
+    (lambda d, m, n: boundary_kernel(d, "R", m, n), 9, 6.0),
+    (lambda d, m, n: suspended_boundary_kernel(d, "R", m, n), 9.0, 6),
+    (lambda d, m, n: filtration_subgroup(d, Sphere(n), m, 3), 9.0, 6),
+])
+def test_a_non_integer_dimension_is_refused_cold_and_warm(db, call, m, n):
+    """9.0 == 9 and hashes alike, so a dimension is refused before any
+    memo read: it never answers from the entry of the integer cell."""
+    bad = n if type(m) is int else m
+    d = rebuilt(db)
+    for _ in range(2):
+        with pytest.raises(UsageError, match=f"^expected an integer, got {re.escape(repr(bad))}$"):
+            call(d, m, n)
+        call(d, 9, 6)  # warm for the second round
 
 
 def test_repeating_queries_adds_no_memo_entries(db):
