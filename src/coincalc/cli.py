@@ -8,7 +8,9 @@ printed back with generator labels when the database names them.
 Machine output (``--format machine``) is a single JSON document on
 stdout and is byte-deterministic for identical inputs.  Exit codes:
 0 = ok, 1 = error (bad request or bad database), 2 = unknown (the
-answer is not derivable from the shipped data).
+answer is not derivable from the shipped data).  Every outcome is one
+document whose ``rule_trace`` holds the rules noted before it ended,
+so an error or unknown exit keeps the trace gathered so far.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .trace import Trace
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNKNOWN = 2
+_EXIT_CODES = {"ok": EXIT_OK, "error": EXIT_ERROR, "unknown": EXIT_UNKNOWN}
 
 ENV_DB = "COINCALC_DB"
 
@@ -272,11 +275,10 @@ def _cmd_grassmann(db, args, trace):
 class _Outcome(Exception):
     """Internal: a command that produced a payload but not an ok answer."""
 
-    def __init__(self, status, payload, reason):
-        super().__init__(reason)
+    def __init__(self, status, payload, message):
+        super().__init__(message)
         self.status = status
         self.payload = payload
-        self.reason = reason
 
 
 def _run_db_checks(db: Database) -> list[dict]:
@@ -332,7 +334,7 @@ def _human_value(value, indent=0):
 
 def _emit_human(doc: dict) -> None:
     out = [f"status: {doc['status']}"]
-    payload = doc.get("payload", {})
+    payload = doc["payload"]
     for key, value in payload.items():
         if key == "checks":
             for c in value:
@@ -343,7 +345,7 @@ def _emit_human(doc: dict) -> None:
         rendered = _human_value(value)
         out.append(f"{key}: {rendered[0]}")
         out.extend(rendered[1:])
-    if doc.get("rule_trace"):
+    if doc["rule_trace"]:
         out.append("rules: " + ", ".join(doc["rule_trace"]))
     if doc.get("message"):
         out.append(f"message: {doc['message']}")
@@ -417,25 +419,19 @@ _HANDLERS = {
 def main(argv=None) -> int:
     argv = _bind_coordinates(sys.argv[1:] if argv is None else argv)
     fmt = _requested_format(argv)
+    trace = Trace()
     try:
         args = _shared_parser().parse_args(argv)
         db = _database(_resolve_db_path(args.db))
-        trace = Trace()
-        payload = _HANDLERS[args.command](db, args, trace)
+        doc = {"status": "ok", "payload": _HANDLERS[args.command](db, args, trace)}
     except (UsageError, DataError) as exc:
-        _emit({"status": "error", "message": str(exc), "payload": {},
-               "rule_trace": []}, fmt)
-        return EXIT_ERROR
+        doc = {"status": "error", "message": str(exc), "payload": {}}
     except GapError as exc:
-        _emit({"status": "unknown", "message": str(exc), "payload": {},
-               "rule_trace": []}, fmt)
-        return EXIT_UNKNOWN
+        doc = {"status": "unknown", "message": str(exc), "payload": {}}
     except _Outcome as exc:
-        _emit({"status": exc.status, "message": exc.reason,
-               "payload": exc.payload, "rule_trace": trace.entries}, fmt)
-        return EXIT_UNKNOWN if exc.status == "unknown" else EXIT_ERROR
-    _emit({"status": "ok", "payload": payload, "rule_trace": trace.entries}, fmt)
-    return EXIT_OK
+        doc = {"status": exc.status, "message": str(exc), "payload": exc.payload}
+    _emit({**doc, "rule_trace": trace.entries}, fmt)
+    return _EXIT_CODES[doc["status"]]
 
 
 if __name__ == "__main__":

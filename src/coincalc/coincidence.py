@@ -42,6 +42,7 @@ class Sphere(Record):
     __slots__ = ("n",)
 
     def __init__(self, n: int):
+        n = _integer(n)
         if n < 1:
             raise UsageError("sphere dimension must be >= 1")
         object.__setattr__(self, "n", n)
@@ -60,6 +61,7 @@ class Grassmannian2(Record):
     __slots__ = ("r",)
 
     def __init__(self, r: int):
+        r = _integer(r)
         if r < 4:
             raise UsageError("G_{r,2} is supported for r >= 4")
         object.__setattr__(self, "r", r)
@@ -587,6 +589,9 @@ class _Spheres(TargetFamily):
             return group.whole_subgroup()
         # from stage 3 on: classes lifting to the unit tangent bundle
         Trace.note(trace, "sphere-filtration-tangent-lift")
+        if m == 1 and space.n >= 2:
+            # pi_1(S^n) = 0; the boundary would read pi_0(S^{n-1})
+            return db.pi_sphere(m, space.n).whole_subgroup()
         return boundary_kernel(db, "R", m, space.n, trace)
 
     def transfer(self, db, space, m, trace):

@@ -34,6 +34,7 @@ class ProjectiveSpace(Record):
 
     def __init__(self, k: str, n_prime: int):
         field_dim(k)
+        n_prime = _integer(n_prime)
         if n_prime < 1:
             raise UsageError("projective space needs n' >= 1")
         object.__setattr__(self, "k", k)

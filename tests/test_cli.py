@@ -114,6 +114,15 @@ def test_unknown_exit_for_database_gap(capsys):
     assert code == EXIT_UNKNOWN
     assert doc["status"] == "unknown"
     assert "boundary unknown" in doc["message"]
+    # the exit keeps the rules noted before the gap, in either format
+    argv = ("filtration", "--space", "sphere", "--n", "4", "--m", "6", "--q", "3")
+    code, doc, _ = run_machine(capsys, *argv)
+    assert (code, doc["status"]) == (EXIT_UNKNOWN, "unknown")
+    assert doc["rule_trace"] == ["sphere-filtration-tangent-lift"]
+    assert run(capsys, *argv) == (EXIT_UNKNOWN, "status: unknown\n"
+                                  "rules: sphere-filtration-tangent-lift\n"
+                                  "message: boundary unknown: (6,4) is outside the "
+                                  "stable range m < 2n-2\n")
 
 
 def test_error_exit_for_bad_coordinates(capsys):
@@ -157,6 +166,9 @@ def test_integers_keep_their_sign_and_surrounding_space(capsys):
 def test_error_exit_for_bad_flags(capsys):
     code, out = run(capsys, "pi-sphere", "--m", "9")
     assert code == EXIT_ERROR
+    # nothing is noted before the parse
+    code, doc, _ = run_machine(capsys, "pi-sphere", "--m", "9", "--bogus")
+    assert (code, doc["rule_trace"]) == (EXIT_ERROR, [])
 
 
 def test_parse_error_honours_machine_format(capsys):
@@ -367,6 +379,7 @@ def test_a_failed_load_is_not_kept(capsys, tmp_path, db_doc, monkeypatch):
     bad.write_text("{not json", "utf-8")
     code, doc, _ = run_machine(capsys, "--db", str(bad), "validate-db")
     assert code == EXIT_ERROR and "cannot read database" in doc["message"]
+    assert doc["rule_trace"] == []  # nothing is noted before the load
     assert cli._loaded is None
     code, doc, _ = run_machine(capsys, "--db", str(good), "pi-sphere", "--m", "9", "--n", "6")
     assert code == EXIT_OK and doc["payload"]["group"]["torsion"] == [24]
@@ -448,6 +461,9 @@ def test_kp1_answers_as_its_sphere_from_m_2(capsys, db):
                 if m == 1:
                     kind = "classifier" if cmd == "filtration" and rest[-1] != "1" else "pi"
                     assert (code, doc["message"]) == (EXIT_ERROR, KP1_REFUSALS[kind])
+                    # the refused stage keeps the rule it entered
+                    rules = ["projective-filtration-collapse"] if kind == "classifier" else []
+                    assert doc["rule_trace"] == rules
                     continue
                 s_code, s_doc, _ = run_machine(capsys, cmd, "--space", "sphere",
                                                "--n", str(d), "--m", str(m), *rest)

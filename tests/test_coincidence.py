@@ -471,7 +471,7 @@ def test_shortcut_clauses_give_the_whole_group_at_every_resolved_stage(db):
     assert len(cells) == 527
     held = [(space, m) for space, m in cells if _full_by_shortcut(m, space)]
     resolved = sum(_resolved_stages_are_whole(db, space, m) for space, m in held)
-    assert (len(held), resolved) == (329, 1178)
+    assert (len(held), resolved) == (329, 1200)
 
 
 # --- Grassmannians --------------------------------------------------------------------------------

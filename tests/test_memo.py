@@ -207,6 +207,19 @@ def test_a_non_integer_dimension_is_refused_cold_and_warm(db, call, m, n):
         call(d, 9, 6)  # warm for the second round
 
 
+@pytest.mark.parametrize("space, dim", [
+    (Sphere, 6.0), (Sphere, "6"),
+    (lambda n: ProjectiveSpace("R", n), 6.0), (lambda n: ProjectiveSpace("R", n), "6"),
+    (Grassmannian2, 6.0), (Grassmannian2, 6.5),
+], ids=["sphere-float", "sphere-str", "rp-float", "rp-str", "grassmann-float", "grassmann-half"])
+def test_a_space_takes_integer_dimensions_only(db, space, dim):
+    """Sphere(6.0) == Sphere(6) and hashes alike, so a space in a memo key
+    would answer from the integer space's entry: it is refused when built."""
+    filtration_subgroup(rebuilt(db), space(6), 9, 2)  # the integer space answers
+    with pytest.raises(UsageError, match=f"^expected an integer, got {re.escape(repr(dim))}$"):
+        space(dim)
+
+
 def test_repeating_queries_adds_no_memo_entries(db):
     d = rebuilt(db)
     qs = queries(db)
